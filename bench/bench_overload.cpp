@@ -18,16 +18,17 @@
 // reported bounded-loss estimate reconstructs the offered mass exactly.
 #include "harness.h"
 #include "obs/snapshot.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 
 using namespace coco;
 using namespace coco::bench;
 
 namespace {
 
-ovs::DatapathConfig BaseConfig() {
-  ovs::DatapathConfig dp;
-  dp.num_queues = 1;
+// One Rx queue: one shard, one worker, nothing to steal.
+ovs::ScaleoutConfig BaseConfig() {
+  ovs::ScaleoutConfig dp;
+  dp.num_shards = dp.num_workers = 1;
   dp.nic_rate_mpps = 4.0;  // paced: the stall window bounds the loss
   dp.ring_capacity = 1024;
   dp.sketch_memory_bytes = KiB(512);
@@ -47,24 +48,25 @@ int main() {
       "(%zu pkts at 4 Mpps, 1024-slot ring)\n",
       trace.size());
 
-  ovs::DatapathConfig backpressure = BaseConfig();
+  ovs::ScaleoutConfig backpressure = BaseConfig();
 
-  ovs::DatapathConfig drop = BaseConfig();
+  ovs::ScaleoutConfig drop = BaseConfig();
   drop.overflow = ovs::OverflowPolicy::kDropNewest;
 
-  ovs::DatapathConfig degrade = drop;
+  ovs::ScaleoutConfig degrade = drop;
   degrade.degrade_enabled = true;
   degrade.degrade_sample_prob = 0.25;
 
   std::vector<double> mpps, dropped, processed_pct, degraded_pct, mass_pct;
   for (const auto& config : {backpressure, drop, degrade}) {
-    const auto r = ovs::RunDatapath(config, trace);
+    const auto r = ovs::RunScaleout(config, trace);
     mpps.push_back(r.mpps);
-    dropped.push_back(static_cast<double>(r.health.rx_dropped));
+    dropped.push_back(static_cast<double>(r.rx_dropped));
     processed_pct.push_back(100.0 *
                             static_cast<double>(r.packets_processed) /
                             static_cast<double>(trace.size()));
-    degraded_pct.push_back(100.0 * r.health.degraded_fraction);
+    degraded_pct.push_back(100.0 * static_cast<double>(r.packets_degraded) /
+                           static_cast<double>(r.packets_processed));
     mass_pct.push_back(100.0 *
                        static_cast<double>(metrics::TotalMass(r.merged_table)) /
                        static_cast<double>(trace.size()));
@@ -82,16 +84,16 @@ int main() {
   // run publishes into a metrics registry so the accounting below can also be
   // read back from counters alone (docs/OBSERVABILITY.md).
   obs::Registry registry;
-  ovs::DatapathConfig crash;
-  crash.num_queues = 1;
-  crash.nic_rate_mpps = 1000.0;
+  ovs::ScaleoutConfig crash;
+  crash.num_shards = crash.num_workers = 1;
   crash.ring_capacity = 1024;
   crash.sketch_memory_bytes = KiB(512);
   crash.checkpoint_interval = 4096;
   crash.watchdog_timeout_ms = 50;
   crash.faults.kills.push_back({0, trace.size() / 2});
   crash.registry = &registry;
-  const auto r = ovs::RunDatapath(crash, trace);
+  crash.metrics_prefix = "ovs";
+  const auto r = ovs::RunScaleout(crash, trace);
   const uint64_t mass = metrics::TotalMass(r.merged_table);
 
   PrintHeader("Crash recovery accounting (kill at 50%, ckpt every 4096)");
@@ -99,17 +101,17 @@ int main() {
   std::printf("recorded mass      %12llu\n",
               static_cast<unsigned long long>(mass));
   std::printf("lost (bounded)     %12llu\n",
-              static_cast<unsigned long long>(r.health.packets_lost_estimate));
+              static_cast<unsigned long long>(r.packets_lost_estimate));
   std::printf("mass + lost        %12llu   (== offered)\n",
               static_cast<unsigned long long>(mass +
-                                              r.health.packets_lost_estimate));
+                                              r.packets_lost_estimate));
   std::printf("checkpoints taken  %12llu, restores %llu\n",
-              static_cast<unsigned long long>(r.health.checkpoints_taken),
-              static_cast<unsigned long long>(r.health.restores));
+              static_cast<unsigned long long>(r.checkpoints_taken),
+              static_cast<unsigned long long>(r.restores));
 
   // The same story from the registry: per-queue packet conservation plus the
   // checkpoint byte volume, all from counters the datapath kept live.
-  const auto view = ovs::ReadConservation(&registry, crash.num_queues);
+  const auto view = ovs::ReadConservation(&registry, "ovs");
   std::printf("registry conserve  %12llu = %llu exact + %llu degraded + "
               "%llu dropped -> %s\n",
               static_cast<unsigned long long>(view.offered),

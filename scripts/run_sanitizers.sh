@@ -3,16 +3,16 @@
 #
 # Builds the COCO_SANITIZE CMake presets and runs the tests that exercise the
 # code the sanitizers are aimed at:
-#   thread  — TSan over the lock-free SPSC rings (including the scale-out
-#             consumer-token handoff for work stealing), the watchdog's
-#             stall-detect/kill/respawn paths, the batched merge, the
-#             relaxed-atomic metrics registry, the network-wide
-#             agent/collector transports, the SIMD tier's process-default
-#             dispatch state, the attack-detection/seed-rotation response
-#             on the consumer threads, and the multi-core scale-out battery
-#             (epoch rotation under load, steal/owner races) — ovs_test,
-#             batch_test, obs_test, netwide_test, simd_test,
-#             adversarial_test, scaleout_test
+#   thread  — TSan over the one datapath, ovs::RunScaleout: the lock-free
+#             SPSC rings and their consumer-token handoff for work
+#             stealing, the watchdog's stall-detect/kill/respawn of workers
+#             with per-shard checkpoint restore, epoch rotation under load,
+#             and the attack-detection/seed-rotation response on the worker
+#             threads (ovs_test, obs_test, adversarial_test, scaleout_test);
+#             plus the batched merge, the relaxed-atomic metrics registry,
+#             the network-wide agent/collector transports and the SIMD
+#             tier's process-default dispatch state (batch_test,
+#             netwide_test, simd_test)
 #   address — ASan+UBSan over the deserializers, fuzz loops, the snapshot
 #             JSON reader, the frame/delta decoders, the SIMD kernels'
 #             word loads against the padded SoA key plane, and the hostile

@@ -24,6 +24,18 @@ inline uint64_t ReadCycleCounter() {
 #endif
 }
 
+// ReadCycleCounter ordered after every earlier load: on x86 an lfence first,
+// so a cache miss still in flight (say, a ring slot another core just wrote)
+// completes before the counter is read instead of being charged to the
+// region timed next. Bracket a region with two fenced reads to time exactly
+// its own work.
+inline uint64_t ReadCycleCounterFenced() {
+#if defined(__x86_64__) || defined(_M_X64)
+  _mm_lfence();
+#endif
+  return ReadCycleCounter();
+}
+
 // Wall-clock stopwatch for throughput (Mpps) measurements.
 class Stopwatch {
  public:

@@ -172,6 +172,14 @@ class AttackMonitor {
     verdict_ = Verdict::kHonest;
   }
 
+  // Re-baseline after the sketch was swapped for a fresh one with its own
+  // counters (an epoch rotation) while keeping any suspicion streak: the
+  // traffic did not change, only the structure counting it.
+  void Rebase(const SketchStats& stats) {
+    baseline_ = Baseline(stats);
+    have_baseline_ = true;
+  }
+
   const AttackSignals& signals() const { return signals_; }
   Verdict verdict() const { return verdict_; }
   int suspicious_streak() const { return suspicious_streak_; }

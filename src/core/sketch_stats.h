@@ -1,5 +1,5 @@
 // Introspection of a sketch's bucket state, computed on demand by the
-// Stats() methods of CocoSketch / HwCocoSketch / ShardedCocoSketch.
+// Stats() methods of CocoSketch / HwCocoSketch.
 //
 // Pull-based by design: nothing here touches the update hot path — a
 // Stats() call scans the bucket array once (control-plane cost, same order

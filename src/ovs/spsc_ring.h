@@ -47,14 +47,30 @@ class SpscRing {
     return true;
   }
 
-  // Producer side, kDropNewest policy: push if there is room, otherwise
-  // count the record as dropped and return false. Never blocks or retries —
-  // the overload contract a real NIC rx queue gives.
-  bool PushOrDrop(const T& value) {
-    if (TryPush(value)) return true;
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  // Producer side, batched: pushes as many of `items[0..n)` as fit and
+  // publishes them with one release store — a NIC posting a burst of
+  // descriptors. Returns how many were pushed (a prefix of `items`).
+  size_t PushBatch(const T* items, size_t n) {
+    const size_t head = head_.load(std::memory_order_relaxed);
+    if (slots_.size() - (head - cached_tail_) < n) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+    }
+    const size_t room = slots_.size() - (head - cached_tail_);
+    const size_t k = room < n ? room : n;
+    for (size_t i = 0; i < k; ++i) slots_[(head + i) & mask_] = items[i];
+    if (k != 0) head_.store(head + k, std::memory_order_release);
+    return k;
   }
+
+  // Producer side, kDropNewest policy: push what fits, count the rest as
+  // dropped, and return how many were pushed. Never blocks or retries — the
+  // overload contract a real NIC rx queue gives.
+  size_t PushOrDrop(const T* items, size_t n) {
+    const size_t pushed = PushBatch(items, n);
+    if (pushed < n) dropped_.fetch_add(n - pushed, std::memory_order_relaxed);
+    return pushed;
+  }
+  bool PushOrDrop(const T& value) { return PushOrDrop(&value, 1) == 1; }
 
   // Packets dropped by PushOrDrop. Readable from any thread.
   uint64_t rx_dropped() const {
@@ -98,9 +114,8 @@ class SpscRing {
   // bounded steal. Every PopBatch/TryPop caller in a stealing topology must
   // hold the token; test_and_set(acquire) / clear(release) hand the
   // consumer-side cursor state (tail_ plus the cached_head_ cache) from one
-  // consumer to the next with the ordering a mutex would provide. Non-
-  // stealing deployments (the classic DatapathSim) never touch the token —
-  // zero added cost on their pop paths.
+  // consumer to the next with the ordering a mutex would provide. An
+  // uncontended token costs one atomic exchange per batch popped.
   bool TryAcquireConsumer() {
     return !consumer_token_.test_and_set(std::memory_order_acquire);
   }

@@ -1,13 +1,13 @@
 // Watchdog building blocks for the OVS datapath: checkpoint storage and
 // stall detection.
 //
-// The datapath's recovery story (docs/ROBUSTNESS.md): each measurement
-// thread periodically serializes its sketch into a CheckpointStore; a
-// monitor thread watches per-queue progress counters and, when a consumer
-// dies, respawns it from the newest checkpoint image that passes its
-// checksum. Both pieces here are deliberately free of threads and clocks —
-// the caller supplies timestamps — so tests can drive every path
-// deterministically.
+// The datapath's recovery story (docs/ROBUSTNESS.md): each shard
+// periodically serializes its sketch into a CheckpointStore; a monitor
+// thread watches per-worker progress counters and, when a worker dies,
+// respawns it, restoring each owned shard from the newest checkpoint image
+// that passes its checksum. Both pieces here are deliberately free of
+// threads and clocks — the caller supplies timestamps — so tests can drive
+// every path deterministically.
 #pragma once
 
 #include <cstdint>
@@ -17,25 +17,34 @@
 
 namespace coco::ovs {
 
-// One queue's checkpoint slots: the two most recent serialized sketch
-// images plus the drain progress recorded when each was taken. Keeping two
-// lets recovery fall back to the older image when the newest one is corrupt
-// (torn write, injected fault). Writes come from the queue's consumer,
-// reads from its replacement after a crash — a mutex is ample at
+// One shard's checkpoint slots: the two most recent serialized sketch
+// images plus the progress and epoch weight recorded when each was taken.
+// Keeping two lets recovery fall back to the older image when the newest one
+// is corrupt (torn write, injected fault). Writes come from the shard's
+// worker, reads from its replacement after a crash — a mutex is ample at
 // checkpoint frequency.
 class CheckpointStore {
  public:
   struct Image {
-    uint64_t seq = 0;       // 1-based checkpoint number within the queue
-    uint64_t progress = 0;  // packets drained when the image was taken
+    uint64_t seq = 0;       // 1-based checkpoint number within the shard
+    uint64_t progress = 0;  // packets applied when the image was taken
+    uint64_t weight = 0;    // epoch weight the image's sketch holds
     std::vector<uint8_t> bytes;
   };
 
-  void Put(uint64_t seq, uint64_t progress, std::vector<uint8_t> bytes) {
+  void Put(Image image) {
     std::lock_guard<std::mutex> lock(mu_);
     previous_ = std::move(latest_);
-    latest_ = Image{seq, progress, std::move(bytes)};
+    latest_ = std::move(image);
     ++count_;
+  }
+
+  // Drops both images — the sketch they describe is gone (published at an
+  // epoch rotation), so restoring one would count its mass twice.
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    latest_ = Image{};
+    previous_ = Image{};
   }
 
   // Candidate images for recovery, newest first. Empty slots are omitted.

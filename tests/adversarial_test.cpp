@@ -25,8 +25,9 @@
 #include "core/merge.h"
 #include "core/seed_rotation.h"
 #include "hash/multihash.h"
+#include "metrics/accuracy.h"
 #include "obs/metrics.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 #include "packet/keys.h"
 #include "query/flow_table.h"
 #include "simd/dispatch.h"
@@ -302,61 +303,111 @@ TEST(SeedRotation, RecoversAccuracyUnderSustainedAttack) {
 
 // ---- Datapath composition (detect -> alarm -> rotate) ---------------------
 
-TEST(DatapathAttack, DetectsRotatesAndConservesPackets) {
-  ovs::DatapathConfig config;
-  config.num_queues = 1;
-  config.nic_rate_mpps = 1000.0;  // uncapped: this test is not about pacing
+// A classic single-queue datapath whose shard-0 sketch the attacker has
+// white-box knowledge of (fixed seed, known geometry).
+ovs::ScaleoutConfig AttackedDatapath() {
+  ovs::ScaleoutConfig config;
+  config.num_shards = config.num_workers = 1;
+  config.steal_batches = 0;
   config.sketch_memory_bytes = KiB(16);
   config.seed = kFixedSeed;
   config.attack_window_packets = 8192;
   config.attack_options.min_window_updates = 1024;
   config.rotate_on_attack = true;
   config.rotation_seed = 0x0123;  // deterministic rotation targets
-  obs::Registry registry;
-  config.registry = &registry;
+  return config;
+}
 
-  // Craft against the queue-0 sketch's exact geometry and seed.
-  CocoSketch<FiveTuple> ref(config.sketch_memory_bytes, 2, config.seed);
+trace::AdversarialTrace CollisionTraceAgainst(
+    const ovs::ScaleoutConfig& config) {
+  // Craft against the shard-0 sketch's exact geometry and seed.
+  CocoSketch<FiveTuple> ref(config.sketch_memory_bytes, config.d,
+                            config.seed);
   const auto honest = HonestTrace(60'000);
   const auto victims = TopFlows(honest, 8);
   const auto attack = trace::CraftCollisionKeys(
       config.seed, ref.d(), ref.l(), victims, 16, 60'000'000, 13);
-  ASSERT_GT(attack.victims_targeted, 0u);
-  const auto hostile =
-      trace::BuildCollisionTrace(honest, attack, 80'000, 0.4);
+  EXPECT_GT(attack.victims_targeted, 0u);
+  return trace::BuildCollisionTrace(honest, attack, 80'000, 0.4);
+}
 
-  const auto result = ovs::RunDatapath(config, hostile.packets);
-  EXPECT_GT(result.health.collision_attacks_confirmed, 0u);
-  EXPECT_GT(result.health.seed_rotations, 0u);
-  EXPECT_TRUE(result.health.rotation_mass_conserved);
+uint64_t Weight(const std::vector<Packet>& packets) {
+  uint64_t total = 0;
+  for (const Packet& p : packets) total += p.weight;
+  return total;
+}
+
+TEST(DatapathAttack, DetectsRotatesAndConservesPackets) {
+  ovs::ScaleoutConfig config = AttackedDatapath();
+  obs::Registry registry;
+  config.registry = &registry;
+  const auto hostile = CollisionTraceAgainst(config);
+
+  const auto result = ovs::RunScaleout(config, hostile.packets);
+  EXPECT_GT(result.collision_attacks_confirmed, 0u);
+  EXPECT_GT(result.seed_rotations, 0u);
+  EXPECT_TRUE(result.rotation_mass_conserved);
   // Packet conservation holds ACROSS the rotation epoch swap.
-  const auto c = ovs::ReadConservation(&registry, config.num_queues);
+  const auto c = ovs::ReadConservation(&registry);
   EXPECT_TRUE(c.Holds());
   EXPECT_EQ(result.packets_processed, hostile.packets.size());
   // And the merged table still accounts every unit of mass.
   uint64_t merged_mass = 0;
   for (const auto& [key, value] : result.merged_table) merged_mass += value;
-  uint64_t offered_mass = 0;
-  for (const Packet& p : hostile.packets) offered_mass += p.weight;
-  EXPECT_EQ(merged_mass, offered_mass);
+  EXPECT_EQ(merged_mass, Weight(hostile.packets));
+}
+
+TEST(DatapathAttack, SeedRotationSurvivesEpochSwap) {
+  // Attack rotation inside an epoch pipeline: the shard's active sketch is
+  // rotated in place, and every sketch swapped in at a later epoch carries
+  // the rotated seed — the collector folds seed groups separately, so no
+  // epoch ever merges mixed seeds, and mass stays exact throughout.
+  ovs::ScaleoutConfig config = AttackedDatapath();
+  // Epochs span several attack windows: the monitor needs confirm_windows
+  // consecutive suspicious windows after each fresh sketch's warm-up one.
+  config.rotation_interval_packets = 30'000;
+  config.nic_rate_mpps = 2.0;  // stretch the run so epochs land mid-stream
+  const auto hostile = CollisionTraceAgainst(config);
+
+  const auto result = ovs::RunScaleout(config, hostile.packets);
+  ASSERT_EQ(result.seed_rotations, 1u);
+  EXPECT_TRUE(result.rotation_mass_conserved);
+  uint64_t mix = config.rotation_seed ^ 1;  // shard 0, first rotation
+  const uint64_t rotated = SplitMix64(mix);
+
+  size_t first_rotated = result.epochs.size();
+  for (size_t i = 0; i < result.epochs.size(); ++i) {
+    const ovs::EpochRecord& rec = result.epochs[i];
+    EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+    ASSERT_EQ(rec.shard_seeds.size(), 1u);
+    if (first_rotated == result.epochs.size() &&
+        rec.shard_seeds[0] != config.seed) {
+      first_rotated = i;
+    }
+    if (i >= first_rotated) {
+      EXPECT_EQ(rec.shard_seeds[0], rotated) << "epoch " << rec.epoch;
+    } else {
+      EXPECT_EQ(rec.shard_seeds[0], config.seed) << "epoch " << rec.epoch;
+    }
+  }
+  // The rotation happened mid-run, with later epochs swapped in after it.
+  EXPECT_GT(first_rotated, 0u);
+  EXPECT_LT(first_rotated + 1, result.epochs.size());
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), Weight(hostile.packets));
+  EXPECT_EQ(result.total_sketch_mass, Weight(hostile.packets));
 }
 
 TEST(DatapathAttack, HonestTrafficNeverTriggersResponse) {
-  ovs::DatapathConfig config;
-  config.num_queues = 2;
-  config.nic_rate_mpps = 1000.0;
+  ovs::ScaleoutConfig config = AttackedDatapath();
+  config.num_shards = config.num_workers = 2;
   config.sketch_memory_bytes = KiB(32);
-  config.seed = kFixedSeed;
-  config.attack_window_packets = 8192;
-  config.attack_options.min_window_updates = 1024;
-  config.rotate_on_attack = true;
   config.rotation_seed = 0xabc;
 
-  const auto result = ovs::RunDatapath(config, HonestTrace(120'000));
-  EXPECT_EQ(result.health.collision_attacks_confirmed, 0u);
-  EXPECT_EQ(result.health.churn_floods_confirmed, 0u);
-  EXPECT_EQ(result.health.seed_rotations, 0u);
-  EXPECT_EQ(result.health.attack_degrade_forced, 0u);
+  const auto result = ovs::RunScaleout(config, HonestTrace(120'000));
+  EXPECT_EQ(result.collision_attacks_confirmed, 0u);
+  EXPECT_EQ(result.churn_floods_confirmed, 0u);
+  EXPECT_EQ(result.seed_rotations, 0u);
+  EXPECT_EQ(result.attack_degrade_forced, 0u);
 }
 
 // ---- Unbiasedness on uniform no-heavy-tail traffic ------------------------

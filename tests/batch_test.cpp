@@ -11,7 +11,8 @@
 #include "common/sizes.h"
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
-#include "core/sharded_cocosketch.h"
+#include "ovs/epoch.h"
+#include "ovs/steering.h"
 #include "trace/generators.h"
 
 namespace coco::core {
@@ -104,33 +105,49 @@ TEST(BatchUpdate, HwSerializeRestoreRoundTrip) {
 }
 
 TEST(BatchUpdate, ShardedByKeyMatchesScalarRouting) {
+  // The datapath's RSS stage: scatter each chunk by FlowSteering, then run
+  // every shard's group through its batched fast path. Grouping preserves
+  // per-shard arrival order, so each shard's state is byte-identical to
+  // routing the packets one at a time.
   const auto& trace = TestTrace();
-  ShardedCocoSketch<FiveTuple> scalar(KiB(96), 3, 2, 0x42);
-  ShardedCocoSketch<FiveTuple> batched(KiB(96), 3, 2, 0x42);
+  const ovs::FlowSteering steering(0x42, 3);
+  std::vector<CocoSketch<FiveTuple>> scalar, batched;
+  for (size_t s = 0; s < 3; ++s) {
+    scalar.emplace_back(KiB(32), 2, 0x42);
+    batched.emplace_back(KiB(32), 2, 0x42);
+  }
   for (const Packet& p : trace) {
-    scalar.shard(scalar.ShardOf(p.key)).Update(p.key, p.weight);
+    scalar[steering.Shard(p.key)].Update(p.key, p.weight);
   }
-  size_t i = 0;
-  while (i < trace.size()) {
-    const size_t n = std::min<size_t>(48, trace.size() - i);
-    batched.UpdateBatchByKey(std::span<const Packet>(trace.data() + i, n));
-    i += n;
+  std::vector<std::vector<Packet>> groups(3);
+  for (size_t i = 0; i < trace.size(); i += 48) {
+    for (auto& g : groups) g.clear();
+    for (size_t j = i; j < std::min(i + 48, trace.size()); ++j) {
+      groups[steering.Shard(trace[j].key)].push_back(trace[j]);
+    }
+    for (size_t s = 0; s < 3; ++s) {
+      batched[s].UpdateBatch(groups[s].data(), groups[s].size());
+    }
   }
-  for (size_t s = 0; s < scalar.num_shards(); ++s) {
-    EXPECT_EQ(scalar.shard(s).SerializeState(),
-              batched.shard(s).SerializeState())
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(scalar[s].SerializeState(), batched[s].SerializeState())
         << "shard " << s;
   }
 }
 
 TEST(BatchUpdate, ShardedPerShardOverloadMatchesShardUpdateBatch) {
+  // A worker's batched drain into its epoch shard is the plain sketch
+  // fast path, and the spare swapped in at rotation starts untouched.
   const auto& trace = TestTrace();
-  ShardedCocoSketch<FiveTuple> a(KiB(64), 2, 2, 0x31);
-  ShardedCocoSketch<FiveTuple> b(KiB(64), 2, 2, 0x31);
-  a.UpdateBatch(1, std::span<const Packet>(trace.data(), 5000));
-  b.shard(1).UpdateBatch(trace.data(), 5000);
-  EXPECT_EQ(a.shard(1).SerializeState(), b.shard(1).SerializeState());
-  EXPECT_EQ(a.shard(0).TotalValue(), 0u);  // untouched shard stays empty
+  ovs::EpochShard<FiveTuple> shard(KiB(32), 2, 0x31);
+  CocoSketch<FiveTuple> plain(KiB(32), 2, 0x31);
+  shard.active()->UpdateBatch(trace.data(), 5000);
+  plain.UpdateBatch(trace.data(), 5000);
+  EXPECT_EQ(shard.active()->SerializeState(), plain.SerializeState());
+  ASSERT_TRUE(shard.TryRotate(1, 5000));
+  EXPECT_EQ(shard.active()->TotalValue(), 0u);  // untouched spare
+  EXPECT_EQ(shard.TakePublished().sketch->SerializeState(),
+            plain.SerializeState());
 }
 
 TEST(BatchUpdate, QueriesAgreeAfterBatchedIngest) {

@@ -1,11 +1,14 @@
 // Tests for the control-plane modules: the Theorem-3/4 sketch planner,
-// windowed measurement, and sketch state serialization.
+// windowed measurement over the datapath's epoch buffers, and sketch state
+// serialization.
 #include <gtest/gtest.h>
 
 #include "common/sizes.h"
 #include "control/planner.h"
-#include "control/windowed.h"
 #include "core/cocosketch.h"
+#include "core/merge.h"
+#include "ovs/epoch.h"
+#include "query/flow_table.h"
 #include "trace/generators.h"
 #include "trace/ground_truth.h"
 
@@ -114,30 +117,47 @@ TEST(PlannedSketch, HitsRecallTargetEmpirically) {
   EXPECT_GE(static_cast<double>(recorded) / kTrials, 0.96);
 }
 
+// Windowed measurement is the datapath's epoch rotation (ovs/epoch.h) seen
+// from the control plane: the writer seals its active sketch at an epoch
+// boundary, the reader decodes the published one and recycles it. Seal()
+// plays both roles for a single-threaded caller.
+template <typename Key>
+query::FlowTable<Key> Seal(ovs::EpochShard<Key>& shard, uint64_t epoch,
+                           uint64_t weight) {
+  EXPECT_TRUE(shard.TryRotate(epoch, weight));
+  auto pub = shard.TakePublished();
+  EXPECT_EQ(pub.sketch->TotalValue(), weight);
+  auto table = pub.sketch->Decode();
+  shard.Recycle(std::move(pub.sketch));
+  return table;
+}
+
 TEST(Windowed, RotateSealsAndClears) {
-  WindowedMeasurement<IPv4Key> wm(KiB(64));
-  for (int i = 0; i < 100; ++i) wm.Update(IPv4Key(1), 1);
-  EXPECT_TRUE(wm.current().empty());  // nothing sealed yet
-  EXPECT_EQ(wm.Rotate(), 0u);
-  EXPECT_EQ(wm.current().at(IPv4Key(1)), 100u);
+  ovs::EpochShard<IPv4Key> shard(KiB(64), 2, 0x717e);
+  for (int i = 0; i < 100; ++i) shard.active()->Update(IPv4Key(1), 1);
+  EXPECT_FALSE(shard.HasPublished());  // nothing sealed yet
+  const auto first = Seal(shard, 1, 100);
+  EXPECT_EQ(first.at(IPv4Key(1)), 100u);
   // New epoch starts empty.
-  for (int i = 0; i < 30; ++i) wm.Update(IPv4Key(2), 1);
-  EXPECT_EQ(wm.Rotate(), 1u);
-  EXPECT_EQ(wm.current().at(IPv4Key(2)), 30u);
-  EXPECT_FALSE(wm.current().count(IPv4Key(1)));
-  EXPECT_EQ(wm.previous().at(IPv4Key(1)), 100u);
+  EXPECT_EQ(shard.active()->TotalValue(), 0u);
+  for (int i = 0; i < 30; ++i) shard.active()->Update(IPv4Key(2), 1);
+  const auto second = Seal(shard, 2, 30);
+  EXPECT_EQ(second.at(IPv4Key(2)), 30u);
+  EXPECT_FALSE(second.count(IPv4Key(1)));
+  EXPECT_EQ(first.at(IPv4Key(1)), 100u);  // the caller keeps the old window
 }
 
 TEST(Windowed, HeavyChangesAcrossEpochs) {
-  WindowedMeasurement<IPv4Key> wm(KiB(64));
-  for (int i = 0; i < 500; ++i) wm.Update(IPv4Key(1), 1);
-  for (int i = 0; i < 500; ++i) wm.Update(IPv4Key(2), 1);
-  wm.Rotate();
-  for (int i = 0; i < 500; ++i) wm.Update(IPv4Key(1), 1);  // stable
-  for (int i = 0; i < 40; ++i) wm.Update(IPv4Key(2), 1);   // collapsed
-  for (int i = 0; i < 700; ++i) wm.Update(IPv4Key(3), 1);  // new
-  wm.Rotate();
-  const auto changes = wm.HeavyChanges(100);
+  ovs::EpochShard<IPv4Key> shard(KiB(64), 2, 0x717e);
+  for (int i = 0; i < 500; ++i) shard.active()->Update(IPv4Key(1), 1);
+  for (int i = 0; i < 500; ++i) shard.active()->Update(IPv4Key(2), 1);
+  const auto previous = Seal(shard, 1, 1000);
+  for (int i = 0; i < 500; ++i) shard.active()->Update(IPv4Key(1), 1);
+  for (int i = 0; i < 40; ++i) shard.active()->Update(IPv4Key(2), 1);
+  for (int i = 0; i < 700; ++i) shard.active()->Update(IPv4Key(3), 1);
+  const auto current = Seal(shard, 2, 1240);
+  const auto changes =
+      query::FilterThreshold(query::AbsDiff(previous, current), 100);
   EXPECT_EQ(changes.size(), 2u);
   EXPECT_EQ(changes.at(IPv4Key(2)), 460u);
   EXPECT_EQ(changes.at(IPv4Key(3)), 700u);
@@ -149,34 +169,35 @@ TEST(Windowed, ManyEpochsTrackChurn) {
   // change query must track the per-epoch ground-truth delta.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
   trace::FlowUniverse universe(config);
-  WindowedMeasurement<FiveTuple> wm(KiB(256));
+  ovs::EpochShard<FiveTuple> shard(KiB(256), 2, 0x717e);
   Rng churn_rng(4);
 
   trace::ExactCounter<FiveTuple> prev_truth;
-  for (uint64_t epoch = 0; epoch < 8; ++epoch) {
+  query::FlowTable<FiveTuple> prev_table;
+  for (uint64_t epoch = 1; epoch <= 8; ++epoch) {
     const auto packets =
-        trace::GenerateTraceFrom(universe, 20000, 900 + epoch);
+        trace::GenerateTraceFrom(universe, 20000, 899 + epoch);
     trace::ExactCounter<FiveTuple> truth;
     for (const Packet& p : packets) {
-      wm.Update(p.key, p.weight);
+      shard.active()->Update(p.key, p.weight);
       truth.Add(p.key, p.weight);
     }
-    ASSERT_EQ(wm.Rotate(), epoch);
+    const auto table = Seal(shard, epoch, truth.Total());
 
     // Sealed table's mass equals this epoch's mass exactly.
     uint64_t mass = 0;
-    for (const auto& [key, size] : wm.current()) mass += size;
+    for (const auto& [key, size] : table) mass += size;
     EXPECT_EQ(mass, truth.Total());
 
-    if (epoch > 0) {
+    if (epoch > 1) {
       const uint64_t threshold = truth.Total() / 100;
-      const auto est_changes = wm.HeavyChanges(threshold);
+      const auto est_changes =
+          query::FilterThreshold(query::AbsDiff(prev_table, table), threshold);
       const auto true_changes = prev_truth.HeavyChanges(truth, threshold);
       // Recall of true heavy changes from the windowed estimate.
       size_t found = 0;
       for (const auto& [key, diff] : true_changes) {
-        auto it = est_changes.find(key);
-        found += (it != est_changes.end());
+        found += est_changes.count(key);
       }
       if (!true_changes.empty()) {
         EXPECT_GT(static_cast<double>(found) / true_changes.size(), 0.8)
@@ -184,40 +205,45 @@ TEST(Windowed, ManyEpochsTrackChurn) {
       }
     }
     prev_truth = truth;
+    prev_table = table;
     universe.Churn(0.3, churn_rng);
   }
-  EXPECT_EQ(wm.epochs_sealed(), 8u);
 }
 
 TEST(NetworkWide, ControllerMergesSerializedVantagePoints) {
   // Three "switches" each observe a disjoint share of the traffic (striped,
   // as ECMP would), serialize their sketch state, and ship it to a
-  // controller that restores, decodes, and merges — the network-wide
-  // deployment story. The merged view must conserve total mass and find the
-  // global heavy hitters.
+  // controller that restores and merges the sketches — the network-wide
+  // deployment story. The switches share one hash seed, which the
+  // sketch-level merge requires. The merged view must conserve total mass
+  // and find the global heavy hitters.
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(120000));
   const auto truth = trace::CountTrace(trace);
 
   constexpr size_t kSwitches = 3;
+  constexpr uint64_t kSeed = 100;
   std::vector<std::vector<uint8_t>> wire_images;
   for (size_t s = 0; s < kSwitches; ++s) {
-    core::CocoSketch<FiveTuple> device(KiB(200), 2, 100 + s);
+    core::CocoSketch<FiveTuple> device(KiB(200), 2, kSeed);
     for (size_t i = s; i < trace.size(); i += kSwitches) {
       device.Update(trace[i].key, trace[i].weight);
     }
     wire_images.push_back(device.SerializeState());
   }
 
-  // Controller side: restore each image into a fresh instance and merge the
-  // decoded tables.
-  std::vector<query::FlowTable<FiveTuple>> partitions;
+  // Controller side: restore each image into a fresh instance and merge.
+  std::vector<core::CocoSketch<FiveTuple>> replicas;
   for (size_t s = 0; s < kSwitches; ++s) {
-    core::CocoSketch<FiveTuple> replica(KiB(200), 2, 100 + s);
-    ASSERT_TRUE(replica.RestoreState(wire_images[s]));
-    partitions.push_back(replica.Decode());
+    replicas.emplace_back(KiB(200), 2, kSeed);
+    ASSERT_TRUE(replicas.back().RestoreState(wire_images[s]));
   }
-  const auto merged = query::MergeTables(partitions);
+  std::vector<const core::CocoSketch<FiveTuple>*> sources;
+  for (const auto& r : replicas) sources.push_back(&r);
+  core::CocoSketch<FiveTuple> controller(KiB(200), 2, kSeed);
+  Rng rng(7);
+  ASSERT_TRUE(core::MergeAll(&controller, sources, &rng).ok);
+  const auto merged = controller.Decode();
 
   uint64_t mass = 0;
   for (const auto& [key, size] : merged) mass += size;

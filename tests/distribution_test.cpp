@@ -1,12 +1,10 @@
-// Tests for distribution-level metrics (flow size distribution, entropy) and
-// table merging, including end-to-end FSD/entropy estimation from a decoded
-// CocoSketch.
+// Tests for distribution-level metrics (flow size distribution, entropy),
+// including end-to-end FSD/entropy estimation from a decoded CocoSketch.
 #include <gtest/gtest.h>
 
 #include "common/sizes.h"
 #include "core/cocosketch.h"
 #include "metrics/distribution.h"
-#include "query/flow_table.h"
 #include "trace/generators.h"
 #include "trace/ground_truth.h"
 
@@ -57,23 +55,6 @@ TEST(EmpiricalEntropy, SingleFlowIsZero) {
   std::unordered_map<IPv4Key, uint64_t> table;
   table[IPv4Key(1)] = 1000;
   EXPECT_DOUBLE_EQ(metrics::EmpiricalEntropy(table), 0.0);
-}
-
-TEST(MergeTables, SumsAcrossPartitions) {
-  query::FlowTable<IPv4Key> a, b;
-  a[IPv4Key(1)] = 10;
-  a[IPv4Key(2)] = 5;
-  b[IPv4Key(1)] = 7;
-  b[IPv4Key(3)] = 2;
-  const auto merged = query::MergeTables<IPv4Key>({a, b});
-  EXPECT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged.at(IPv4Key(1)), 17u);
-  EXPECT_EQ(merged.at(IPv4Key(2)), 5u);
-  EXPECT_EQ(merged.at(IPv4Key(3)), 2u);
-}
-
-TEST(MergeTables, EmptyInput) {
-  EXPECT_TRUE(query::MergeTables<IPv4Key>({}).empty());
 }
 
 TEST(DistributionEndToEnd, CocoDecodesUsableFsdAndEntropy) {

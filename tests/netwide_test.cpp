@@ -276,27 +276,29 @@ TEST(Merge, HwVariantMergesPerArray) {
   EXPECT_FALSE(MergeSketches(&a, approx, &rng).ok);  // division-mode mismatch
 }
 
-TEST(Merge, UssBaselineConservesMassAndCapacity) {
-  std::unordered_map<IPv4Key, uint64_t> a, b;
-  uint64_t total = 0;
-  Rng gen(11);
-  for (uint32_t i = 0; i < 300; ++i) {
-    const uint64_t va = 1 + gen.NextBelow(1000);
-    const uint64_t vb = 1 + gen.NextBelow(1000);
-    a[IPv4Key(i)] = va;
-    b[IPv4Key(i + 150)] = vb;
-    total += va + vb;
-  }
-  Rng rng(5);
-  const auto merged = core::MergeUssEntries(a, b, 100, &rng);
-  EXPECT_LE(merged.size(), 100u);
-  uint64_t merged_total = 0;
-  for (const auto& [key, v] : merged) {
-    merged_total += v;
-    // Every surviving key came from the input union.
-    EXPECT_TRUE(a.count(key) || b.count(key));
-  }
-  EXPECT_EQ(merged_total, total);
+TEST(Merge, AllSumsPartitionsSharingKeys) {
+  // N-way fold of shared-nothing partitions: a key seen by two partitions
+  // decodes to the sum of its counts, keys seen once pass through.
+  CocoSketch<IPv4Key> a(KiB(8), 2, 3), b(KiB(8), 2, 3);
+  a.Update(IPv4Key(1), 10);
+  a.Update(IPv4Key(2), 5);
+  b.Update(IPv4Key(1), 7);
+  b.Update(IPv4Key(3), 2);
+  CocoSketch<IPv4Key> merged(KiB(8), 2, 3);
+  Rng rng(1);
+  ASSERT_TRUE(core::MergeAll<CocoSketch<IPv4Key>>(&merged, {&a, &b}, &rng).ok);
+  const auto table = merged.Decode();
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.at(IPv4Key(1)), 17u);
+  EXPECT_EQ(table.at(IPv4Key(2)), 5u);
+  EXPECT_EQ(table.at(IPv4Key(3)), 2u);
+}
+
+TEST(Merge, AllOfNoSourcesLeavesDestinationEmpty) {
+  CocoSketch<IPv4Key> merged(KiB(8), 2, 3);
+  Rng rng(1);
+  EXPECT_TRUE(core::MergeAll<CocoSketch<IPv4Key>>(&merged, {}, &rng).ok);
+  EXPECT_TRUE(merged.Decode().empty());
 }
 
 // ---- Delta sync -----------------------------------------------------------

@@ -14,7 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/sketch_metrics.h"
 #include "obs/snapshot.h"
-#include "ovs/datapath_sim.h"
+#include "ovs/scaleout.h"
 #include "trace/generators.h"
 
 namespace coco::obs {
@@ -234,16 +234,18 @@ TEST(SketchMetrics, PublishesGaugesUnderPrefix) {
   EXPECT_DOUBLE_EQ(r.GetGauge("sk.array1.occupied")->Value(), 15.0);
 }
 
-// The acceptance invariant: on a faulted datapath run (drop-newest overflow,
-// injected stall, degradation ladder, checkpoint + kill + restore), every
-// queue's offered counter equals exact + degraded + rx_dropped at
-// quiescence, read purely from the registry.
+// The acceptance invariant: on a faulted classic datapath run (one shard
+// and one worker per queue, stealing off; drop-newest overflow, injected
+// stall, degradation ladder, checkpoint + kill + restore), every shard's
+// offered counter equals exact + degraded + rx_dropped at quiescence, read
+// purely from the registry.
 TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(60000));
   Registry registry;
-  ovs::DatapathConfig dp;
-  dp.num_queues = 2;
+  ovs::ScaleoutConfig dp;
+  dp.num_shards = dp.num_workers = 2;
+  dp.steal_batches = 0;
   dp.nic_rate_mpps = 1000.0;
   dp.ring_capacity = 256;
   dp.sketch_memory_bytes = KiB(128);
@@ -253,20 +255,21 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
   dp.checkpoint_interval = 4096;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({0, 0, 30});
-  dp.faults.kills.push_back({1, trace.size() / dp.num_queues / 2});
+  dp.faults.kills.push_back({1, trace.size() / dp.num_shards / 2});
   dp.registry = &registry;
-  const auto result = ovs::RunDatapath(dp, trace);
+  dp.metrics_prefix = "ovs";
+  const auto result = ovs::RunScaleout(dp, trace);
 
-  // Aggregate view first: offered must equal the trace (round-robin split).
-  const auto view = ovs::ReadConservation(&registry, dp.num_queues);
+  // Aggregate view first: offered must equal the trace.
+  const auto view = ovs::ReadConservation(&registry, "ovs");
   EXPECT_EQ(view.offered, trace.size());
   EXPECT_TRUE(view.Holds())
       << "offered " << view.offered << " != " << view.exact << " + "
       << view.degraded << " + " << view.rx_dropped;
   EXPECT_TRUE(view.HoldsLive());
 
-  // And per queue, via single-queue reads of the same counters.
-  for (size_t q = 0; q < dp.num_queues; ++q) {
+  // And per shard: without stealing each shard balances on its own.
+  for (size_t q = 0; q < dp.num_shards; ++q) {
     const std::string p = "ovs.q" + std::to_string(q) + ".";
     const uint64_t offered = registry.GetCounter(p + "offered")->Value();
     const uint64_t exact = registry.GetCounter(p + "exact")->Value();
@@ -276,10 +279,14 @@ TEST(Conservation, HoldsPerQueueOnFaultedRun) {
     EXPECT_GT(offered, 0u) << "queue " << q;
   }
 
-  // The registry totals agree with the health struct the run reports.
-  EXPECT_EQ(view.exact, result.health.packets_exact);
-  EXPECT_EQ(view.degraded, result.health.packets_degraded);
-  EXPECT_EQ(view.rx_dropped, result.health.rx_dropped);
+  // The registry totals agree with the counters the run reports.
+  EXPECT_EQ(view.exact, result.packets_exact);
+  EXPECT_EQ(view.degraded, result.packets_degraded);
+  EXPECT_EQ(view.rx_dropped, result.rx_dropped);
+  EXPECT_EQ(result.restores, result.kills_injected);
+  for (const auto& rec : result.epochs) {
+    EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+  }
 
   // End-of-run publications: sketch occupancy gauges and run-level gauges.
   EXPECT_GT(registry.GetGauge("ovs.q0.sketch.load_factor")->Value(), 0.0);
@@ -298,14 +305,14 @@ TEST(Conservation, FaultFreeRunIsAllExact) {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(30000));
   Registry registry;
-  ovs::DatapathConfig dp;
-  dp.num_queues = 1;
-  dp.nic_rate_mpps = 1000.0;
+  ovs::ScaleoutConfig dp;
+  dp.num_shards = dp.num_workers = 1;
   dp.registry = &registry;
-  const auto result = ovs::RunDatapath(dp, trace);
+  dp.metrics_prefix = "ovs";
+  const auto result = ovs::RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
 
-  const auto view = ovs::ReadConservation(&registry, dp.num_queues);
+  const auto view = ovs::ReadConservation(&registry, "ovs");
   EXPECT_EQ(view.offered, trace.size());
   EXPECT_EQ(view.exact, trace.size());
   EXPECT_EQ(view.degraded, 0u);

@@ -1,14 +1,15 @@
-// Tests for the SPSC ring buffer, the OVS datapath simulation, and the
-// fault-tolerance layer (overflow policies, degradation ladder, fault
+// Tests for the SPSC ring buffer, the OVS datapath in its classic
+// configuration (one shard and one worker per Rx queue, stealing off), and
+// the fault-tolerance layer (overflow policies, degradation ladder, fault
 // injection, watchdog + checkpoint recovery).
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "metrics/accuracy.h"
-#include "ovs/datapath_sim.h"
 #include "ovs/degrade.h"
 #include "ovs/fault.h"
+#include "ovs/scaleout.h"
 #include "ovs/spsc_ring.h"
 #include "ovs/watchdog.h"
 #include "trace/generators.h"
@@ -239,14 +240,18 @@ TEST(StallDetector, IdleQueueIsNotAStall) {
 TEST(CheckpointStore, KeepsTwoNewestImages) {
   CheckpointStore store;
   EXPECT_TRUE(store.Candidates().empty());
-  store.Put(1, 1000, {1, 2, 3});
-  store.Put(2, 2000, {4, 5, 6});
-  store.Put(3, 3000, {7, 8, 9});
+  store.Put({1, 1000, 10, {1, 2, 3}});
+  store.Put({2, 2000, 20, {4, 5, 6}});
+  store.Put({3, 3000, 30, {7, 8, 9}});
   const auto images = store.Candidates();
   ASSERT_EQ(images.size(), 2u);
   EXPECT_EQ(images[0].seq, 3u);  // newest first
   EXPECT_EQ(images[0].progress, 3000u);
+  EXPECT_EQ(images[0].weight, 30u);
   EXPECT_EQ(images[1].seq, 2u);
+  EXPECT_EQ(store.count(), 3u);
+  store.Clear();  // an epoch rotation retires both images
+  EXPECT_TRUE(store.Candidates().empty());
   EXPECT_EQ(store.count(), 3u);
 }
 
@@ -287,13 +292,29 @@ TEST(FaultInjector, CorruptionIsDeterministicPerSeed) {
   EXPECT_EQ(a.corruptions_fired(), 1u);
 }
 
+// The classic datapath: one shard and one worker per Rx queue, stealing
+// off. nic_rate_mpps stays 0 (unpaced) unless a test is about pacing.
+ScaleoutConfig Classic(size_t queues) {
+  ScaleoutConfig config;
+  config.num_shards = queues;
+  config.num_workers = queues;
+  config.steal_batches = 0;
+  return config;
+}
+
+// Per-epoch conservation: every collected epoch's sketch mass equals the
+// weight its writers say they applied (no torn reads, no lost batches, and
+// a restored checkpoint brings its own epoch weight back).
+void ExpectEpochsConserve(const ScaleoutResult& result) {
+  for (const EpochRecord& rec : result.epochs) {
+    EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+  }
+}
+
 TEST(Datapath, ProcessesEveryPacket) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
-  dp.nic_rate_mpps = 1000.0;  // effectively unpaced
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(Classic(2), trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_GT(result.mpps, 0.0);
 }
@@ -301,10 +322,9 @@ TEST(Datapath, ProcessesEveryPacket) {
 TEST(Datapath, NicRateCapsThroughput) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
+  ScaleoutConfig dp = Classic(2);
   dp.nic_rate_mpps = 2.0;  // deliberately slow NIC
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_LE(result.mpps, 2.3);  // cap plus scheduling slack
   // Pacing fidelity degrades when the host has fewer cores than datapath
@@ -316,48 +336,41 @@ TEST(Datapath, NicRateCapsThroughput) {
 TEST(Datapath, ForwardingOnlyModeWorks) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(30000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = Classic(1);
   dp.with_sketch = false;
-  dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_DOUBLE_EQ(result.measurement_cpu_fraction, 0.0);
 }
 
 TEST(Datapath, MergedTableConservesMass) {
-  // Each packet lands in exactly one partition, so the merged decode's total
-  // equals the stream mass — the correctness contract of MergeTables.
+  // Each packet lands in exactly one shard, so the merged decode's total
+  // equals the stream mass — the correctness contract of the sketch-level
+  // merge.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(40000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 3;
-  dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
-  uint64_t mass = 0;
-  for (const auto& [key, size] : result.merged_table) mass += size;
-  EXPECT_EQ(mass, trace.size());  // unit weights
+  const auto result = RunScaleout(Classic(3), trace);
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), trace.size());
   EXPECT_FALSE(result.merged_table.empty());
+  ExpectEpochsConserve(result);
 }
 
 TEST(Datapath, NoSketchMeansNoTable) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(5000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
+  ScaleoutConfig dp = Classic(1);
   dp.with_sketch = false;
-  dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_TRUE(result.merged_table.empty());
+  EXPECT_EQ(result.total_sketch_mass, 0u);
 }
 
 TEST(Datapath, ReportsBatchFillStatistics) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(40000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
-  dp.nic_rate_mpps = 1000.0;  // unpaced: consumer sees backlog, batches fill
+  ScaleoutConfig dp = Classic(2);  // unpaced: workers see backlog
   dp.drain_batch = 32;
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_GT(result.batches_drained, 0u);
   EXPECT_GE(result.avg_batch_fill, 1.0);
@@ -371,89 +384,75 @@ TEST(Datapath, ReportsBatchFillStatistics) {
 TEST(Datapath, DrainBatchOfOneStillProcessesEverything) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
-  dp.nic_rate_mpps = 1000.0;
+  ScaleoutConfig dp = Classic(1);
   dp.drain_batch = 1;  // degenerate batching == per-packet drain
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_DOUBLE_EQ(result.avg_batch_fill, 1.0);
-  uint64_t mass = 0;
-  for (const auto& [key, size] : result.merged_table) mass += size;
-  EXPECT_EQ(mass, trace.size());
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), trace.size());
 }
 
 TEST(Datapath, MeasurementOverheadIsSmall) {
   // The paper reports <1.8% CPU overhead at line rate; with a paced NIC the
-  // consumer is mostly idle-polling, so the sketch-update share of its
+  // worker is mostly idle-polling, so the sketch-update share of its
   // cycles must be small.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
+  ScaleoutConfig dp = Classic(1);
   dp.nic_rate_mpps = 1.0;
 #if COCO_TEST_SANITIZED
   // Sanitizer instrumentation inflates the update path's cycle share; the
   // CPU-fraction bound is only meaningful on uninstrumented builds.
   GTEST_SKIP() << "cpu-fraction bound not meaningful under sanitizers";
 #endif
-  const auto result = RunDatapath(dp, trace);
+  const auto result = RunScaleout(dp, trace);
   EXPECT_LT(result.measurement_cpu_fraction, 0.10);
 }
 
 TEST(Datapath, FaultFreeRunReportsCleanHealth) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
-  dp.nic_rate_mpps = 1000.0;
-  const auto result = RunDatapath(dp, trace);
-  const DatapathHealth& h = result.health;
+  const auto h = RunScaleout(Classic(2), trace);
   EXPECT_EQ(h.packets_exact, trace.size());
   EXPECT_EQ(h.rx_dropped, 0u);
   EXPECT_EQ(h.packets_degraded, 0u);
-  EXPECT_DOUBLE_EQ(h.degraded_fraction, 0.0);
+  EXPECT_EQ(h.degrade_enter_events, 0u);
   EXPECT_EQ(h.stalls_injected + h.kills_injected + h.stalls_detected, 0u);
   EXPECT_EQ(h.checkpoints_taken + h.restores + h.packets_lost_estimate, 0u);
 }
 
 TEST(Datapath, DropModeNeverBlocksAndAccountsEveryPacket) {
-  // A stalled consumer behind a tiny ring in kDropNewest mode: producers
+  // A stalled worker behind a tiny ring in kDropNewest mode: producers
   // must finish regardless (drops instead of backpressure), and the
   // accounting identity exact + degraded + dropped == offered must hold.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(40000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
-  dp.nic_rate_mpps = 1000.0;  // unpaced: the producer outruns the stall
+  ScaleoutConfig dp = Classic(1);  // unpaced: the producer outruns the stall
   dp.ring_capacity = 64;
   dp.overflow = OverflowPolicy::kDropNewest;
   // after_packets = 0: fire at the first drained batch. In drop mode the
   // unpaced producer may push (and drop) nearly the whole trace before the
-  // consumer's progress counter reaches any higher trigger.
+  // worker's progress reaches any higher trigger.
   dp.faults.stalls.push_back({0, 0, 150});
-  const auto result = RunDatapath(dp, trace);
-  const DatapathHealth& h = result.health;
+  const auto h = RunScaleout(dp, trace);
   EXPECT_EQ(h.stalls_injected, 1u);
   EXPECT_GT(h.rx_dropped, 0u);  // 150 ms into a 64-slot ring must overflow
   EXPECT_EQ(h.packets_degraded, 0u);  // ladder not enabled here
   EXPECT_EQ(h.packets_exact + h.packets_degraded + h.rx_dropped,
             trace.size());
-  EXPECT_EQ(result.packets_processed + h.rx_dropped, trace.size());
+  EXPECT_EQ(h.packets_processed + h.rx_dropped, trace.size());
   // What was drained is exactly what the merged table accounts for.
-  EXPECT_EQ(metrics::TotalMass(result.merged_table),
-            result.packets_processed);
+  EXPECT_EQ(metrics::TotalMass(h.merged_table), h.packets_processed);
+  ExpectEpochsConserve(h);
 }
 
 TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   // Same overload shape, but with the ladder enabled: the backlog after the
-  // stall pushes occupancy past the high watermark, so the consumer switches
+  // stall pushes occupancy past the high watermark, so the worker switches
   // to sampled updates until it has drained back below the low watermark.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
-  dp.nic_rate_mpps = 1000.0;
+  ScaleoutConfig dp = Classic(1);
   dp.ring_capacity = 256;
   dp.overflow = OverflowPolicy::kDropNewest;
   dp.degrade_enabled = true;
@@ -461,12 +460,10 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   dp.degrade_low_watermark = 0.25;
   dp.degrade_sample_prob = 0.25;
   dp.faults.stalls.push_back({0, 0, 150});  // first-batch stall builds backlog
-  const auto result = RunDatapath(dp, trace);
-  const DatapathHealth& h = result.health;
+  const auto h = RunScaleout(dp, trace);
   EXPECT_GE(h.degrade_enter_events, 1u);  // woke up to a full ring
   EXPECT_GT(h.packets_degraded, 0u);
-  EXPECT_GT(h.degraded_fraction, 0.0);
-  EXPECT_LE(h.degraded_fraction, 1.0);
+  EXPECT_LE(h.packets_degraded, h.packets_processed);
   // Accounting identity: every offered packet is exact, degraded, or dropped.
   EXPECT_EQ(h.packets_exact + h.packets_degraded + h.rx_dropped,
             trace.size());
@@ -475,57 +472,51 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   // exact + p * degraded as naive dropping would give.
   const double expected =
       static_cast<double>(h.packets_exact + h.packets_degraded);
-  EXPECT_NEAR(static_cast<double>(metrics::TotalMass(result.merged_table)),
+  EXPECT_NEAR(static_cast<double>(metrics::TotalMass(h.merged_table)),
               expected,
               0.5 * static_cast<double>(h.packets_degraded) + 200.0);
+  ExpectEpochsConserve(h);
 }
 
 TEST(Datapath, ConsumerStallIsDetectedAndRunCompletes) {
   // Backpressure mode + watchdog: an injected 300 ms stall freezes the
-  // queue's progress counter long enough for the watchdog to flag it, and
-  // the run still completes losslessly once the consumer wakes.
+  // worker's progress counter long enough for the watchdog to flag it, and
+  // the run still completes losslessly once the worker wakes.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(30000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 1;
-  dp.nic_rate_mpps = 1000.0;
+  ScaleoutConfig dp = Classic(1);
   dp.ring_capacity = 512;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({0, 1000, 300});
-  const auto result = RunDatapath(dp, trace);
-  const DatapathHealth& h = result.health;
+  const auto h = RunScaleout(dp, trace);
   EXPECT_EQ(h.stalls_injected, 1u);
   EXPECT_GE(h.stalls_detected, 1u);
   EXPECT_EQ(h.restores, 0u);  // stalled, not dead: no respawn
-  EXPECT_EQ(result.packets_processed, trace.size());
-  EXPECT_EQ(metrics::TotalMass(result.merged_table), trace.size());
+  EXPECT_EQ(h.packets_processed, trace.size());
+  EXPECT_EQ(metrics::TotalMass(h.merged_table), trace.size());
 }
 
 TEST(Datapath, ConsumerKillRecoversFromCheckpoint) {
-  // The headline recovery scenario: kill one of two measurement threads
-  // halfway through its share of the trace. The watchdog must respawn it
-  // from the last checkpoint, the run must complete (no hang), and the
-  // merged table's mass must be exactly the fault-free mass minus the
-  // reported bounded loss (unit weights + value conservation make the bound
-  // tight here).
+  // The headline recovery scenario: kill one of two workers halfway through
+  // its shard of the trace. The watchdog must respawn it from the last
+  // checkpoint, the run must complete (no hang), and the merged table's
+  // mass must be exactly the fault-free mass minus the reported bounded
+  // loss (unit weights + value conservation make the bound tight here).
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
-  dp.nic_rate_mpps = 1000.0;
+  ScaleoutConfig dp = Classic(2);
   dp.ring_capacity = 1024;
   dp.checkpoint_interval = 2000;
   dp.watchdog_timeout_ms = 50;
 
   const uint64_t fault_free_mass = [&] {
-    const auto r = RunDatapath(dp, trace);
+    const auto r = RunScaleout(dp, trace);
     return metrics::TotalMass(r.merged_table);
   }();
   EXPECT_EQ(fault_free_mass, trace.size());  // lossless baseline
 
-  dp.faults.kills.push_back({0, trace.size() / dp.num_queues / 2});
-  const auto result = RunDatapath(dp, trace);
-  const DatapathHealth& h = result.health;
+  dp.faults.kills.push_back({0, trace.size() / dp.num_shards / 2});
+  const auto h = RunScaleout(dp, trace);
   EXPECT_EQ(h.kills_injected, 1u);
   EXPECT_EQ(h.restores, 1u);
   EXPECT_GT(h.checkpoints_taken, 0u);
@@ -534,29 +525,54 @@ TEST(Datapath, ConsumerKillRecoversFromCheckpoint) {
   // that landed between checkpoint and kill.
   EXPECT_LE(h.packets_lost_estimate,
             dp.checkpoint_interval + 2 * dp.drain_batch);
-  const uint64_t mass = metrics::TotalMass(result.merged_table);
+  const uint64_t mass = metrics::TotalMass(h.merged_table);
   EXPECT_EQ(mass + h.packets_lost_estimate, fault_free_mass);
+  ExpectEpochsConserve(h);
+}
+
+TEST(Datapath, KillRecoveryComposesWithEpochs) {
+  // Checkpoints inside an epoch pipeline: a rotation publishes the active
+  // sketch and restarts the shard's checkpoint baseline, so a respawned
+  // worker never restores a pre-rotation image over the new epoch. Mass
+  // plus the reported loss still reconstructs the offered mass, and every
+  // epoch's sketch mass equals its writers' applied weight.
+  trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
+  const auto trace = trace::GenerateTrace(config);
+  ScaleoutConfig dp = Classic(2);
+  dp.ring_capacity = 1024;
+  dp.checkpoint_interval = 2000;
+  dp.watchdog_timeout_ms = 50;
+  dp.rotation_interval_packets = 7000;
+  dp.nic_rate_mpps = 4.0;  // stretch the run so epochs land mid-stream
+  dp.faults.kills.push_back({0, trace.size() / dp.num_shards / 2});
+  const auto h = RunScaleout(dp, trace);
+  EXPECT_EQ(h.kills_injected, 1u);
+  EXPECT_EQ(h.restores, 1u);
+  EXPECT_GE(h.epochs.size(), 2u);
+  EXPECT_LE(h.packets_lost_estimate,
+            dp.checkpoint_interval + 2 * dp.drain_batch);
+  EXPECT_EQ(h.total_sketch_mass + h.packets_lost_estimate, trace.size());
+  EXPECT_EQ(metrics::TotalMass(h.merged_table) + h.packets_lost_estimate,
+            trace.size());
+  ExpectEpochsConserve(h);
 }
 
 TEST(Datapath, CorruptCheckpointFallsBackToOlderImage) {
-  // Corrupt the newest checkpoint the killed consumer would restore from:
+  // Corrupt the newest checkpoint the killed worker would restore from:
   // recovery must reject it (checksum) and fall back to the previous image,
   // widening — but still honoring — the bounded-loss accounting.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
-  dp.nic_rate_mpps = 1000.0;
+  ScaleoutConfig dp = Classic(2);
   dp.ring_capacity = 1024;
   dp.checkpoint_interval = 2000;
   dp.watchdog_timeout_ms = 50;
-  const uint64_t kill_at = trace.size() / dp.num_queues / 2;  // 15000
+  const uint64_t kill_at = trace.size() / dp.num_shards / 2;  // 15000
   dp.faults.kills.push_back({0, kill_at});
-  // Checkpoints land every >= 2000 drained packets, so the newest image
+  // Checkpoints land every >= 2000 applied packets, so the newest image
   // before a kill at 15000 is deterministically seq 7 (~14000).
   dp.faults.corruptions.push_back({0, 7});
-  const auto result = RunDatapath(dp, trace);
-  const DatapathHealth& h = result.health;
+  const auto h = RunScaleout(dp, trace);
   EXPECT_EQ(h.kills_injected, 1u);
   EXPECT_EQ(h.restores, 1u);
   EXPECT_EQ(h.checkpoints_rejected, 1u);  // corrupt image refused
@@ -565,9 +581,9 @@ TEST(Datapath, CorruptCheckpointFallsBackToOlderImage) {
   EXPECT_GT(h.packets_lost_estimate, dp.checkpoint_interval);
   EXPECT_LE(h.packets_lost_estimate,
             2 * dp.checkpoint_interval + 2 * dp.drain_batch);
-  EXPECT_EQ(metrics::TotalMass(result.merged_table) +
-                h.packets_lost_estimate,
+  EXPECT_EQ(metrics::TotalMass(h.merged_table) + h.packets_lost_estimate,
             trace.size());
+  ExpectEpochsConserve(h);
 }
 
 TEST(Datapath, InjectedFaultCountersAreSeedStable) {
@@ -576,28 +592,26 @@ TEST(Datapath, InjectedFaultCountersAreSeedStable) {
   // dependent by nature and are covered by their accounting identities).
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(30000);
   const auto trace = trace::GenerateTrace(config);
-  DatapathConfig dp;
-  dp.num_queues = 2;
-  dp.nic_rate_mpps = 1000.0;
+  ScaleoutConfig dp = Classic(2);
   dp.checkpoint_interval = 2000;
   dp.watchdog_timeout_ms = 50;
   dp.faults.stalls.push_back({1, 2000, 100});
   dp.faults.kills.push_back({0, 5000});
-  const auto a = RunDatapath(dp, trace);
-  const auto b = RunDatapath(dp, trace);
-  EXPECT_EQ(a.health.stalls_injected, b.health.stalls_injected);
-  EXPECT_EQ(a.health.kills_injected, b.health.kills_injected);
-  EXPECT_EQ(a.health.restores, b.health.restores);
-  EXPECT_EQ(a.health.checkpoints_rejected, b.health.checkpoints_rejected);
+  const auto a = RunScaleout(dp, trace);
+  const auto b = RunScaleout(dp, trace);
+  EXPECT_EQ(a.stalls_injected, b.stalls_injected);
+  EXPECT_EQ(a.kills_injected, b.kills_injected);
+  EXPECT_EQ(a.restores, b.restores);
+  EXPECT_EQ(a.checkpoints_rejected, b.checkpoints_rejected);
   // The exact kill/checkpoint progress points drift with batch fill, so the
   // loss estimate itself is not run-stable — but the accounting identities
   // are: backpressure drains every packet exactly once, and recorded mass
   // plus the reported loss reconstructs the offered count.
   for (const auto* r : {&a, &b}) {
-    EXPECT_EQ(r->health.packets_exact, trace.size());
-    EXPECT_EQ(metrics::TotalMass(r->merged_table) +
-                  r->health.packets_lost_estimate,
+    EXPECT_EQ(r->packets_exact, trace.size());
+    EXPECT_EQ(metrics::TotalMass(r->merged_table) + r->packets_lost_estimate,
               trace.size());
+    ExpectEpochsConserve(*r);
   }
 }
 

@@ -2,8 +2,9 @@
 // scale-out"): steering determinism and balance, placement under cost
 // models, shard-merge fidelity against monolithic decode, epoch rotation
 // (writers never blocked, per-epoch mass conservation, no torn reads),
-// bounded work stealing on adversarially skewed fill, and the
-// discovery-based conservation check across runtime-variable shard counts.
+// bounded work stealing on adversarially skewed fill, shard-level mass and
+// flow affinity, and the discovery-based conservation check across
+// runtime-variable shard counts.
 //
 // Thread counts scale with COCO_TEST_THREADS (CI runs the battery at 2 and
 // at the host's hardware concurrency); every threaded test also runs under
@@ -24,7 +25,6 @@
 #include "core/cocosketch.h"
 #include "core/merge.h"
 #include "obs/metrics.h"
-#include "ovs/datapath_sim.h"
 #include "ovs/epoch.h"
 #include "ovs/scaleout.h"
 #include "ovs/steering.h"
@@ -124,7 +124,7 @@ TEST(Steering, ShardAssignmentIndependentOfWorkerCount) {
   ScaleoutConfig config;
   config.num_shards = S;
   config.steering_seed = 99;
-  config.stealing_enabled = false;
+  config.steal_batches = 0;
 
   obs::Registry reg_one, reg_many;
   config.num_workers = 1;
@@ -398,7 +398,7 @@ TEST(Scaleout, DropModeConservationIncludesRxDrops) {
   config.num_workers = std::min<size_t>(TestThreads(), 2);
   config.ring_capacity = 256;
   config.overflow = OverflowPolicy::kDropNewest;
-  config.stealing_enabled = false;
+  config.steal_batches = 0;
   obs::Registry registry;
   config.registry = &registry;
   const auto trace =
@@ -423,50 +423,199 @@ TEST(Scaleout, WatchdogStaysQuietOnHealthyRun) {
   EXPECT_EQ(result.packets_processed, trace.size());
 }
 
+TEST(Scaleout, KilledWorkerRestoresEveryOwnedShard) {
+  // Two workers own two shards each, stealing and epochs on. A kill keyed
+  // to shard 1 takes down its owner with both of its shards' live sketches;
+  // the respawned worker restores each owned shard from its own newest
+  // image, so the loss is bounded per shard and mass plus loss still
+  // reconstructs the offered mass, epoch by epoch.
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(120000));
+  obs::Registry registry;
+  ScaleoutConfig config;
+  config.num_shards = 4;
+  config.num_workers = 2;
+  config.checkpoint_interval = 1000;
+  config.watchdog_timeout_ms = 20;
+  config.rotation_interval_packets = 8000;
+  config.faults.kills.push_back({1, 10000});
+  config.registry = &registry;
+  const ScaleoutResult result = RunScaleout(config, trace);
+  const ShardTopology& topo = result.topology;
+  ASSERT_EQ(topo.worker_shards[topo.shard_owner[1]].size(), 2u);
+
+  EXPECT_EQ(result.kills_injected, 1u);
+  EXPECT_EQ(result.restores, 1u);
+  EXPECT_TRUE(result.single_writer_ok);
+  EXPECT_EQ(result.packets_processed, trace.size());
+  EXPECT_LE(result.packets_lost_estimate,
+            2 * (config.checkpoint_interval + 2 * config.drain_batch));
+  EXPECT_EQ(result.total_sketch_mass + result.packets_lost_estimate,
+            TraceWeight(trace));
+  EXPECT_EQ(TableMass(result.merged_table) + result.packets_lost_estimate,
+            TraceWeight(trace));
+  for (const EpochRecord& rec : result.epochs) {
+    EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
+  }
+  const ConservationView view = ReadConservation(&registry, "scaleout");
+  EXPECT_TRUE(view.Holds());
+  EXPECT_EQ(view.offered, trace.size());
+}
+
+// ---- Sharding: FlowSteering + per-shard sketches ---------------------------
+
+TEST(Sharded, MergedMassEqualsStreamMass) {
+  // Weighted packets: every unit of weight lands in exactly one shard's
+  // sketch, stolen or not, and survives the sketch-level merge.
+  auto trace = trace::GenerateTrace(trace::TraceConfig::CaidaLike(60000));
+  Rng rng(3);
+  for (Packet& p : trace) {
+    p.weight = 1 + static_cast<uint32_t>(rng.NextBelow(8));
+  }
+  ScaleoutConfig config;
+  config.num_shards = 4;
+  config.num_workers = std::min<size_t>(TestThreads(), 4);
+  const ScaleoutResult result = RunScaleout(config, trace);
+  EXPECT_EQ(result.total_sketch_mass, TraceWeight(trace));
+  EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
+}
+
+TEST(Sharded, FlowAffinityRoutingIsStable) {
+  const FlowSteering steering(0x51a2d, 3), again(0x51a2d, 3);
+  const FiveTuple flow(1, 2, 3, 4, 5);
+  const size_t s = steering.Shard(flow);
+  EXPECT_LT(s, 3u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(steering.Shard(flow), s);
+    EXPECT_EQ(again.Shard(flow), s);
+  }
+}
+
+TEST(Sharded, FlowAffinityKeepsFlowWhole) {
+  // Without stealing each flow's entire mass sits in one shard, so the
+  // merged estimate of a heavy flow is its single-shard estimate.
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(60000));
+  ScaleoutConfig config;
+  config.num_shards = 4;
+  config.num_workers = std::min<size_t>(TestThreads(), 4);
+  config.steal_batches = 0;
+  const ScaleoutResult result = RunScaleout(config, trace);
+  const auto truth = trace::CountTrace(trace);
+  const uint64_t threshold = truth.Total() / 1000;
+  size_t heavy = 0, found = 0;
+  for (const auto& [key, count] : truth.HeavyHitters(threshold)) {
+    ++heavy;
+    const auto it = result.merged_table.find(key);
+    found += (it != result.merged_table.end() && it->second >= threshold);
+  }
+  ASSERT_GT(heavy, 0u);
+  EXPECT_GT(static_cast<double>(found) / heavy, 0.9);
+}
+
+TEST(Sharded, ConcurrentWritersOneShardEach) {
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(80000));
+  ScaleoutConfig config;
+  config.num_shards = 4;
+  config.num_workers = 4;
+  config.steal_batches = 0;
+  const ScaleoutResult result = RunScaleout(config, trace);
+  EXPECT_TRUE(result.single_writer_ok);
+  EXPECT_EQ(result.total_sketch_mass, trace.size());  // unit weights
+  EXPECT_FALSE(result.merged_table.empty());
+}
+
+TEST(Sharded, ClearResetsAllShards) {
+  // Recycling clears a taken epoch sketch before it returns as a spare, so
+  // every shard's next epoch starts empty.
+  std::vector<std::unique_ptr<EpochShard<FiveTuple>>> shards;
+  for (uint64_t s = 0; s < 2; ++s) {
+    shards.push_back(std::make_unique<EpochShard<FiveTuple>>(KiB(64), 2, 9));
+    shards.back()->active()->Update(FiveTuple(1, 2, 3, 4, 5 + s), 10);
+    ASSERT_TRUE(shards.back()->TryRotate(1, 10));
+  }
+  for (auto& shard : shards) {
+    auto pub = shard->TakePublished();
+    EXPECT_EQ(pub.sketch->TotalValue(), 10u);
+    shard->Recycle(std::move(pub.sketch));
+    ASSERT_TRUE(shard->TryRotate(2, 0));
+    const auto next = shard->TakePublished();
+    EXPECT_EQ(next.sketch->TotalValue(), 0u);
+    EXPECT_TRUE(next.sketch->Decode().empty());
+  }
+}
+
+TEST(Sharded, MemorySplitsEvenly) {
+  obs::Registry registry;
+  ScaleoutConfig config;
+  config.num_shards = 4;
+  config.num_workers = 1;
+  config.sketch_memory_bytes = KiB(400);
+  config.registry = &registry;
+  RunScaleout(config,
+              trace::GenerateTrace(trace::TraceConfig::CaidaLike(1000)));
+  double bytes = 0;
+  for (size_t s = 0; s < 4; ++s) {
+    bytes += registry
+                 .GetGauge("scaleout.q" + std::to_string(s) +
+                           ".sketch.buckets_total")
+                 ->Value() *
+             static_cast<double>(CocoSketch<FiveTuple>::BucketBytes());
+  }
+  EXPECT_LE(bytes, static_cast<double>(KiB(400)));
+  EXPECT_GT(bytes, static_cast<double>(KiB(380)));
+}
+
 // ---- Conservation across runtime-variable shard counts --------------------
 
 TEST(Conservation, DiscoveryCoversResizedQueuePool) {
-  // Two runs against ONE registry with different widths: a 4-queue run, then
-  // a 2-queue run. The explicit-count overload called with the current width
-  // silently forgets q2/q3's mass; the discovery overload scans the registry
-  // and keeps every queue that ever counted.
+  // Two runs against ONE registry with different widths: a 4-shard run, then
+  // a 2-shard run. q2/q3 keep the first run's mass; the discovery scan still
+  // counts every shard that ever counted, so the identity holds globally.
   obs::Registry registry;
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(20000));
-  DatapathConfig config;
+  ScaleoutConfig config;
   config.registry = &registry;
-  config.num_queues = 4;
-  RunDatapath(config, trace);
-  config.num_queues = 2;
-  RunDatapath(config, trace);
+  config.metrics_prefix = "ovs";
+  config.num_shards = config.num_workers = 4;
+  RunScaleout(config, trace);
+  config.num_shards = config.num_workers = 2;
+  RunScaleout(config, trace);
 
   const ConservationView discovered = ReadConservation(&registry, "ovs");
   EXPECT_TRUE(discovered.Holds());
   EXPECT_EQ(discovered.offered, 2 * trace.size());
-
-  // The stale explicit call under-counts: q2/q3 retain the first run's mass.
-  const ConservationView stale = ReadConservation(&registry, 2, "ovs");
-  EXPECT_LT(stale.offered, 2 * trace.size());
+  EXPECT_GT(registry.GetCounter("ovs.q3.offered")->Value(), 0u);
 
   // Dashboards read the CURRENT width from the gauge instead of baking it
   // into call sites.
-  EXPECT_EQ(registry.GetGauge("ovs.run.num_queues")->Value(), 2.0);
+  EXPECT_EQ(registry.GetGauge("ovs.run.num_shards")->Value(), 2.0);
 }
 
 TEST(Conservation, DiscoveryMatchesExplicitWhenWidthIsStable) {
   obs::Registry registry;
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(20000));
-  DatapathConfig config;
+  ScaleoutConfig config;
   config.registry = &registry;
-  config.num_queues = 3;
-  RunDatapath(config, trace);
-  const ConservationView a = ReadConservation(&registry, 3, "ovs");
-  const ConservationView b = ReadConservation(&registry, "ovs");
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.exact, b.exact);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.rx_dropped, b.rx_dropped);
+  config.num_shards = config.num_workers = 3;
+  RunScaleout(config, trace);
+  ConservationView explicit_sum;
+  for (size_t s = 0; s < 3; ++s) {
+    const std::string base = "scaleout.q" + std::to_string(s) + ".";
+    explicit_sum.offered += registry.GetCounter(base + "offered")->Value();
+    explicit_sum.exact += registry.GetCounter(base + "exact")->Value();
+    explicit_sum.degraded += registry.GetCounter(base + "degraded")->Value();
+    explicit_sum.rx_dropped +=
+        registry.GetCounter(base + "rx_dropped")->Value();
+  }
+  const ConservationView b = ReadConservation(&registry, "scaleout");
+  EXPECT_EQ(explicit_sum.offered, b.offered);
+  EXPECT_EQ(explicit_sum.exact, b.exact);
+  EXPECT_EQ(explicit_sum.degraded, b.degraded);
+  EXPECT_EQ(explicit_sum.rx_dropped, b.rx_dropped);
   EXPECT_TRUE(b.Holds());
 }
 
