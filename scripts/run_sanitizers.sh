@@ -15,8 +15,10 @@
 #             netwide_test, simd_test)
 #   address — ASan+UBSan over the deserializers, fuzz loops, the snapshot
 #             JSON reader, the frame/delta decoders, the SIMD kernels'
-#             word loads against the padded SoA key plane, and the hostile
-#             trace generators (fuzz_test plus the same seven, for free)
+#             word loads against the padded SoA key plane, the hostile
+#             trace generators, and the overlapping tail loads of
+#             hash::Hash64 / MultiHash on exact-length heap buffers
+#             (fuzz_test, hash_test plus the same seven, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -50,7 +52,7 @@ fi
 for p in "${presets[@]}"; do
   case "$p" in
     thread) run_preset thread ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
-    address) run_preset address fuzz_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

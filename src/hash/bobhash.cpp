@@ -68,41 +68,4 @@ uint32_t BobHash32(const void* data, size_t len, uint32_t seed) {
   return c;
 }
 
-namespace {
-
-inline uint64_t Fmix64(uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdULL;
-  k ^= k >> 33;
-  k *= 0xc4ceb9fe1a85ec53ULL;
-  k ^= k >> 33;
-  return k;
-}
-
-}  // namespace
-
-uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t h = seed ^ (len * 0xc6a4a7935bd1e995ULL);
-
-  while (len >= 8) {
-    uint64_t k;
-    std::memcpy(&k, p, 8);
-    h = (h ^ Fmix64(k)) * 0x9ddfea08eb382d69ULL;
-    p += 8;
-    len -= 8;
-  }
-  if (len > 0) {
-    uint64_t k = 0;
-    std::memcpy(&k, p, len);
-    h = (h ^ Fmix64(k | (static_cast<uint64_t>(len) << 56))) *
-        0x9ddfea08eb382d69ULL;
-  }
-  return Fmix64(h);
-}
-
-uint64_t HashU64(uint64_t value, uint64_t seed) {
-  return Fmix64(value * 0x9ddfea08eb382d69ULL + seed);
-}
-
 }  // namespace coco::hash

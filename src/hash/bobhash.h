@@ -4,10 +4,22 @@
 //
 // Both are seedable; independent hash functions are obtained by distinct
 // seeds, matching how the paper instantiates the d array hashes.
+//
+// Hash64, HashU64 and Fmix64 are defined inline here: they run per packet
+// (flow steering, std::hash on every key type, MultiHash::Slots), and an
+// out-of-line call cost more than the mix itself. Hash64 reads its <8-byte
+// tail with constant-size loads only (LoadTail) — never a runtime-length
+// memcpy, which compiles to a byte-by-byte stack copy reloaded as one word
+// and stalls store-to-load forwarding. The output is the same function of
+// the bytes as a zero-padded little-endian tail word; tests/hash_test.cpp
+// pins it with golden values, since state-image and frame checksums, the
+// steering split and unordered-container order all depend on it.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/rng.h"
 
@@ -17,12 +29,68 @@ namespace coco::hash {
 // byte sequence; we only ever hash explicit byte buffers, never structs.
 uint32_t BobHash32(const void* data, size_t len, uint32_t seed);
 
+// The tail loads below assemble bytes as a little-endian word.
+static_assert(std::endian::native == std::endian::little,
+              "hash::LoadTail assumes a little-endian host");
+
+// MurmurHash3 x64 finalizer.
+inline uint64_t Fmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+// The last `n` (< 8) bytes of the `len`-byte buffer at `data`, as a
+// zero-extended little-endian word — what `memcpy(&w, data + len - n, n)`
+// into a zeroed word yields — read with constant-size loads only, all
+// inside the buffer. A buffer of >= 8 bytes takes one overlapping 8-byte
+// load that ends at its last byte, shifted down; a shorter one takes two
+// overlapping 4-byte loads, or a first/middle/last byte combination.
+inline uint64_t LoadTail(const uint8_t* data, size_t len, size_t n) {
+  if (n == 0) return 0;
+  if (len >= 8) {
+    uint64_t w;
+    std::memcpy(&w, data + len - 8, 8);
+    return w >> (8 * (8 - n));
+  }
+  const uint8_t* t = data + len - n;
+  if (n >= 4) {
+    uint32_t lo, hi;
+    std::memcpy(&lo, t, 4);
+    std::memcpy(&hi, t + n - 4, 4);
+    return lo | (static_cast<uint64_t>(hi) << (8 * (n - 4)));
+  }
+  return t[0] | (static_cast<uint64_t>(t[n / 2]) << (8 * (n / 2))) |
+         (static_cast<uint64_t>(t[n - 1]) << (8 * (n - 1)));
+}
+
 // 64-bit hash: MurmurHash3 x64 finalizer applied to a xor-folded block mix.
-// Cheap, good avalanche; used by trace generation and the flow tables.
-uint64_t Hash64(const void* data, size_t len, uint64_t seed);
+// Cheap, good avalanche; used by flow steering, trace generation, the flow
+// tables and the state-image and frame checksums.
+inline uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  uint64_t h = seed ^ (len * 0xc6a4a7935bd1e995ULL);
+  const size_t tail = len % 8;
+  for (size_t i = 0; i < len - tail; i += 8) {
+    uint64_t k;
+    std::memcpy(&k, bytes + i, 8);
+    h = (h ^ Fmix64(k)) * 0x9ddfea08eb382d69ULL;
+  }
+  if (tail > 0) {
+    const uint64_t k = LoadTail(bytes, len, tail);
+    h = (h ^ Fmix64(k | (static_cast<uint64_t>(tail) << 56))) *
+        0x9ddfea08eb382d69ULL;
+  }
+  return Fmix64(h);
+}
 
 // Convenience for hashing small integers without building a buffer.
-uint64_t HashU64(uint64_t value, uint64_t seed);
+inline uint64_t HashU64(uint64_t value, uint64_t seed) {
+  return Fmix64(value * 0x9ddfea08eb382d69ULL + seed);
+}
 
 // A family of independent 32-bit hash functions indexed by `i`, implemented
 // as BobHash32 with per-index derived seeds. Sketches hold one HashFamily and

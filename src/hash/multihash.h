@@ -77,8 +77,9 @@ class MultiHash {
   // so the common case takes a 3-multiply mix over two (overlapping)
   // 64-bit loads instead of Hash64's block loop — every input byte feeds
   // the mix, and distribution quality is property-tested alongside the
-  // index derivation. Longer keys (WideDynKey, IPv6 tuples) fall back to
-  // the general Hash64.
+  // index derivation. Keys under 8 bytes load through LoadTail, the same
+  // constant-size tail loader as Hash64. Longer keys (WideDynKey, IPv6
+  // tuples) fall back to the general Hash64.
   static uint64_t KeyHash(const void* data, size_t len, uint64_t seed) {
     if (len > 16) return Hash64(data, len, seed);
     const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -86,8 +87,8 @@ class MultiHash {
     if (len >= 8) {
       std::memcpy(&a, p, 8);
       std::memcpy(&b, p + len - 8, 8);
-    } else if (len > 0) {
-      std::memcpy(&a, p, len);
+    } else {
+      a = LoadTail(p, len, len);
     }
     uint64_t h = seed ^ (len * 0xc6a4a7935bd1e995ULL);
     h = (h ^ a) * 0x9ddfea08eb382d69ULL;

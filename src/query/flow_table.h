@@ -64,18 +64,44 @@ bool KeyOrderLess(const Key& a, const Key& b) {
   return false;
 }
 
+// The n largest entries of a table with size >= min_size, as (size, key)
+// pairs in result order: size descending, equal sizes by key
+// (KeyOrderLess). The order is total, so output is stable across runs and
+// platforms. Bounded top-k: only the n survivors of an nth_element pass are
+// sorted, and only pointers into the table are moved, never keys. The
+// pointers stay valid while the table is unmodified.
+template <typename Key>
+std::vector<std::pair<uint64_t, const Key*>> TopEntries(
+    const FlowTable<Key>& table, size_t n, uint64_t min_size = 0) {
+  std::vector<std::pair<uint64_t, const Key*>> top;
+  top.reserve(table.size());
+  for (const auto& [key, size] : table) {
+    if (size >= min_size) top.emplace_back(size, &key);
+  }
+  const auto before = [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return KeyOrderLess(*a.second, *b.second);
+  };
+  if (top.size() > n) {
+    std::nth_element(top.begin(), top.begin() + n, top.end(), before);
+    top.resize(n);
+  }
+  std::sort(top.begin(), top.end(), before);
+  return top;
+}
+
 // Rows of a table sorted by size descending, truncated to n — the
 // human-readable query result the examples print. Equal sizes are ordered
 // by key (KeyOrderLess), so output is stable across runs and platforms.
 template <typename Key>
 std::vector<std::pair<Key, uint64_t>> TopRows(const FlowTable<Key>& table,
                                               size_t n) {
-  std::vector<std::pair<Key, uint64_t>> rows(table.begin(), table.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return KeyOrderLess(a.first, b.first);
-  });
-  if (rows.size() > n) rows.resize(n);
+  const auto top = TopEntries(table, n);
+  std::vector<std::pair<Key, uint64_t>> rows;
+  rows.reserve(top.size());
+  for (const auto& [size, key] : top) {
+    rows.emplace_back(*key, size);
+  }
   return rows;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -371,27 +372,27 @@ Result Execute(const Statement& statement,
   }
   result.column_names.push_back("SUM(Size)");
 
-  result.rows.reserve(aggregated.size());
-  for (const auto& [key, size] : aggregated) {
-    if (statement.having_at_least && size < *statement.having_at_least) {
-      continue;
-    }
+  const uint64_t min_size = statement.having_at_least.value_or(0);
+  const size_t limit =
+      statement.limit.value_or(std::numeric_limits<size_t>::max());
+  const auto emit = [&result](const DynKey& key, uint64_t size) {
     ResultRow row;
     row.key = key;
     row.size = size;
     result.rows.push_back(std::move(row));
-  }
+  };
   if (statement.order_by_size_desc) {
-    // Ties broken by key (query::KeyOrderLess) so output is stable across
-    // runs — result.rows starts in hash-map order.
-    std::sort(result.rows.begin(), result.rows.end(),
-              [](const ResultRow& a, const ResultRow& b) {
-                if (a.size != b.size) return a.size > b.size;
-                return KeyOrderLess(a.key, b.key);
-              });
-  }
-  if (statement.limit && result.rows.size() > *statement.limit) {
-    result.rows.resize(*statement.limit);
+    // Bounded top-k; ties broken by key (query::KeyOrderLess) so output is
+    // stable across runs.
+    const auto top = TopEntries(aggregated, limit, min_size);
+    result.rows.reserve(top.size());
+    for (const auto& [size, key] : top) emit(*key, size);
+  } else {
+    // Unordered: the first `limit` qualifying rows in hash-map order.
+    for (const auto& [key, size] : aggregated) {
+      if (result.rows.size() == limit) break;
+      if (size >= min_size) emit(key, size);
+    }
   }
   for (ResultRow& row : result.rows) {
     row.field_text = RenderFields(statement.fields, row.key);

@@ -66,9 +66,8 @@ inline void LoadShortKey(const uint8_t* p, uint64_t* a, uint64_t* b) {
     std::memcpy(a, p, 8);
     std::memcpy(b, p + kLen - 8, 8);
   } else {
-    *a = 0;
+    *a = hash::LoadTail(p, kLen, kLen);
     *b = 0;
-    if constexpr (kLen > 0) std::memcpy(a, p, kLen);
   }
 }
 

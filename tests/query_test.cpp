@@ -2,6 +2,11 @@
 // including the worked example of Fig. 7.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "keys/key_spec.h"
 #include "query/evaluation.h"
 #include "query/flow_table.h"
@@ -94,6 +99,43 @@ TEST(TopRows, EqualSizesOrderedDeterministicallyByKey) {
   FlowTable<IPv4Key> reversed;
   for (uint32_t i = 64; i > 0; --i) reversed[IPv4Key((i - 1) * 2654435761u)] = 7;
   EXPECT_EQ(TopRows(reversed, 64), rows);
+}
+
+// Reference for the bounded top-k: every row, fully std::sort-ed by
+// (size descending, KeyOrderLess), then truncated.
+template <typename Key>
+std::vector<std::pair<Key, uint64_t>> FullSortTopRows(
+    const FlowTable<Key>& table, size_t n) {
+  std::vector<std::pair<Key, uint64_t>> rows(table.begin(), table.end());
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return KeyOrderLess(a.first, b.first);
+  });
+  if (rows.size() > n) rows.resize(n);
+  return rows;
+}
+
+TEST(TopRows, MatchesFullSortUnderHeavyTies) {
+  // Sizes from {1..4} tie heavily; keys are prefixes of several lengths, so
+  // ties also reach KeyOrderLess's length and bit-count stages (a /13 and a
+  // /16 of the same address share their two bytes).
+  const uint8_t kPrefixBits[] = {8, 13, 16, 32};
+  Rng rng(0x70b5);
+  for (size_t keys : {0, 1, 2, 50, 777}) {
+    FlowTable<DynKey> table;
+    while (table.size() < keys) {
+      const IPv4Key addr(static_cast<uint32_t>(rng.NextBelow(64)) << 19 |
+                         static_cast<uint32_t>(rng.Next32() & 0x7ffff));
+      const keys::PrefixSpec spec(kPrefixBits[rng.NextBelow(4)]);
+      table[spec.Apply(addr)] = 1 + rng.NextBelow(4);
+    }
+    const size_t size = table.size();
+    for (size_t n : {size_t{0}, size_t{1}, size_t{100}, size - (size > 0),
+                     size, size + 5}) {
+      EXPECT_EQ(TopRows(table, n), FullSortTopRows(table, n))
+          << size << " rows, n = " << n;
+    }
+  }
 }
 
 TEST(FilterThreshold, KeepsOnlyHeavy) {

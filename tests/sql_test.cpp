@@ -3,6 +3,11 @@
 // rendering — including the Fig. 7 worked example expressed in SQL.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "query/sql.h"
 
 namespace coco::query::sql {
@@ -134,6 +139,56 @@ TEST(SqlExecute, LimitTruncates) {
   ASSERT_TRUE(result.has_value()) << error;
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0].size, 1041u);
+}
+
+TEST(SqlExecute, OrderedLimitMatchesFullSort) {
+  // Random tables with heavy size ties: ORDER BY ... LIMIT n (with and
+  // without HAVING) must return exactly the first n rows of the fully
+  // std::sort-ed aggregation.
+  Rng rng(0x5017);
+  const std::vector<keys::FieldSel> fields = {{keys::Field::kSrcIp, 16},
+                                              {keys::Field::kProto, 8}};
+  const keys::TupleKeySpec spec("sql", fields);
+  for (size_t flows : {0, 1, 40, 3000}) {
+    FlowTable<FiveTuple> table;
+    for (size_t i = 0; i < flows; ++i) {
+      // 512 /16 source prefixes x 3 protocols: groups aggregate many flows.
+      const FiveTuple key(static_cast<uint32_t>(rng.NextBelow(512) << 16 |
+                                                (rng.Next32() & 0xffff)),
+                          static_cast<uint32_t>(rng.Next32()),
+                          static_cast<uint16_t>(rng.Next32()), 80,
+                          static_cast<uint8_t>(rng.NextBelow(3)));
+      table[key] = 1 + rng.NextBelow(3);
+    }
+    for (uint64_t having : {uint64_t{0}, uint64_t{2}}) {
+      std::vector<std::pair<DynKey, uint64_t>> expected;
+      for (const auto& [key, size] : Aggregate(table, spec)) {
+        if (size >= having) expected.emplace_back(key, size);
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.second != b.second) return a.second > b.second;
+                  return KeyOrderLess(a.first, b.first);
+                });
+      const size_t size = expected.size();
+      for (size_t n : {size_t{0}, size_t{1}, size_t{100}, size - (size > 0),
+                       size, size + 5}) {
+        Statement statement;
+        statement.fields = fields;
+        statement.table_name = "flows";
+        if (having > 0) statement.having_at_least = having;
+        statement.order_by_size_desc = true;
+        statement.limit = n;
+        const Result result = Execute(statement, table);
+        ASSERT_EQ(result.rows.size(), std::min(n, size))
+            << flows << " flows, n = " << n;
+        for (size_t i = 0; i < result.rows.size(); ++i) {
+          EXPECT_EQ(result.rows[i].key, expected[i].first) << i;
+          EXPECT_EQ(result.rows[i].size, expected[i].second) << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(SqlExecute, PrefixAggregation) {
