@@ -17,8 +17,8 @@ using namespace coco::bench;
 
 namespace {
 
-double Are(const std::unordered_map<DynKey, uint64_t>& est,
-           const trace::ExactCounter<DynKey>& exact) {
+template <typename Estimates>
+double Are(const Estimates& est, const trace::ExactCounter<DynKey>& exact) {
   double sum = 0;
   for (const auto& [key, true_size] : exact.counts()) {
     auto it = est.find(key);

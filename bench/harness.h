@@ -39,7 +39,7 @@ namespace coco::bench {
 struct Solution {
   std::string name;
   std::function<void(const Packet&)> update;
-  std::function<query::FlowTable<DynKey>(size_t spec_index)> table;
+  std::function<query::GroupTable<DynKey>(size_t spec_index)> table;
   std::function<void()> reset;
 };
 
@@ -149,7 +149,11 @@ Solution MakePerKey(std::string name, size_t total_memory,
         }
       },
       [sketches](size_t i) {
-        return query::FlowTable<DynKey>((*sketches)[i]->Decode());
+        query::GroupTable<DynKey> table;
+        for (const auto& [key, size] : (*sketches)[i]->Decode()) {
+          table.Add(key, size);
+        }
+        return table;
       },
       [sketches] {
         for (auto& s : *sketches) s->Clear();

@@ -16,9 +16,11 @@
 #   address — ASan+UBSan over the deserializers, fuzz loops, the snapshot
 #             JSON reader, the frame/delta decoders, the SIMD kernels'
 #             word loads against the padded SoA key plane, the hostile
-#             trace generators, and the overlapping tail loads of
-#             hash::Hash64 / MultiHash on exact-length heap buffers
-#             (fuzz_test, hash_test plus the same seven, for free)
+#             trace generators, the overlapping tail loads of
+#             hash::Hash64 / MultiHash on exact-length heap buffers, and
+#             the query path's GroupTable slot index and bounded top-k
+#             heap (fuzz_test, hash_test, query_test, sql_test plus the
+#             same seven, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -52,7 +54,7 @@ fi
 for p in "${presets[@]}"; do
   case "$p" in
     thread) run_preset thread ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
-    address) run_preset address fuzz_test hash_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test query_test sql_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

@@ -27,9 +27,10 @@ struct Accuracy {
 // Generic scorer: `estimates` maps every reported key to its estimated size,
 // `truth` maps every real key to its exact size; a key is "correct" when its
 // true size >= threshold and "reported" when its estimate >= threshold.
-template <typename Key>
-Accuracy ScoreThreshold(const std::unordered_map<Key, uint64_t>& estimates,
-                        const std::unordered_map<Key, uint64_t>& truth,
+// Either table may be any type that iterates (key, size) pairs and has
+// find() (a std::unordered_map or a query::GroupTable).
+template <typename Estimates, typename Truth>
+Accuracy ScoreThreshold(const Estimates& estimates, const Truth& truth,
                         uint64_t threshold) {
   Accuracy acc;
   size_t correct_reported = 0;
@@ -83,11 +84,11 @@ uint64_t TotalMass(const std::unordered_map<Key, uint64_t>& table) {
 Accuracy MeanAccuracy(const std::vector<Accuracy>& parts);
 
 // Absolute-error distribution support for the CDF plots of Fig. 17: returns
-// the sorted |est - true| values over all ground-truth flows.
-template <typename Key>
-std::vector<uint64_t> AbsoluteErrors(
-    const std::unordered_map<Key, uint64_t>& estimates,
-    const std::unordered_map<Key, uint64_t>& truth) {
+// the sorted |est - true| values over all ground-truth flows. The tables
+// are as for ScoreThreshold.
+template <typename Estimates, typename Truth>
+std::vector<uint64_t> AbsoluteErrors(const Estimates& estimates,
+                                     const Truth& truth) {
   std::vector<uint64_t> errors;
   errors.reserve(truth.size());
   for (const auto& [key, true_size] : truth) {

@@ -26,7 +26,7 @@ std::vector<metrics::Accuracy> ScoreHeavyHittersPerKey(
   std::vector<metrics::Accuracy> scores;
   scores.reserve(specs.size());
   for (const Spec& spec : specs) {
-    const FlowTable<DynKey> est = Aggregate(decoded, spec);
+    const GroupTable<DynKey> est = Aggregate(decoded, spec);
     const trace::ExactCounter<DynKey> exact = truth.Aggregate(spec);
     scores.push_back(
         metrics::ScoreThreshold(est, exact.counts(), threshold));
@@ -49,8 +49,8 @@ std::vector<metrics::Accuracy> ScoreHeavyChangesPerKey(
   std::vector<metrics::Accuracy> scores;
   scores.reserve(specs.size());
   for (const Spec& spec : specs) {
-    const FlowTable<DynKey> est = AbsDiff(Aggregate(decoded_before, spec),
-                                          Aggregate(decoded_after, spec));
+    const GroupTable<DynKey> est = AbsDiff(Aggregate(decoded_before, spec),
+                                           Aggregate(decoded_after, spec));
     const trace::ExactCounter<DynKey> exact_before =
         truth_before.Aggregate(spec);
     const trace::ExactCounter<DynKey> exact_after =

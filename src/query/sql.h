@@ -53,7 +53,11 @@ struct Result {
   std::vector<ResultRow> rows;
 };
 
-// Executes a parsed statement against a decoded full-key table.
+// Executes a parsed statement against a decoded full-key table. With
+// ORDER BY, rows come by size descending, equal sizes by key
+// (query::KeyOrderLess). Without it, rows come in the order the GROUP BY
+// first met each group (query::GroupTable insertion order, which follows the
+// input table's iteration order), and LIMIT keeps the first qualifying ones.
 Result Execute(const Statement& statement, const FlowTable<FiveTuple>& table);
 
 // Convenience: parse + execute. Aborts parse errors into *error.

@@ -191,6 +191,59 @@ TEST(SqlExecute, OrderedLimitMatchesFullSort) {
   }
 }
 
+TEST(SqlExecute, UnorderedLimitKeepsFirstQualifyingGroups) {
+  // Without ORDER BY, LIMIT keeps the first groups meeting HAVING in the
+  // order the GROUP BY first met them: min(limit, qualifying) distinct
+  // rows, the same ones on every Execute of the same table.
+  Rng rng(0x11a7);
+  const std::vector<keys::FieldSel> fields = {{keys::Field::kSrcIp, 16},
+                                              {keys::Field::kProto, 8}};
+  const keys::TupleKeySpec spec("sql", fields);
+  FlowTable<FiveTuple> table;
+  for (int i = 0; i < 3000; ++i) {
+    const FiveTuple key(static_cast<uint32_t>(rng.NextBelow(512) << 16 |
+                                              (rng.Next32() & 0xffff)),
+                        static_cast<uint32_t>(rng.Next32()),
+                        static_cast<uint16_t>(rng.Next32()), 80,
+                        static_cast<uint8_t>(rng.NextBelow(3)));
+    table[key] = 1 + rng.NextBelow(3);
+  }
+  constexpr uint64_t kHaving = 9;
+  const auto groups = Aggregate(table, spec);
+  std::vector<std::pair<DynKey, uint64_t>> qualifying;
+  for (const auto& [key, size] : groups) {
+    if (size >= kHaving) qualifying.emplace_back(key, size);
+  }
+  ASSERT_GT(qualifying.size(), 10u);
+  ASSERT_LT(qualifying.size(), groups.size());
+  for (size_t limit : {size_t{0}, size_t{1}, size_t{10}, qualifying.size(),
+                       qualifying.size() + 5}) {
+    Statement statement;
+    statement.fields = fields;
+    statement.table_name = "flows";
+    statement.having_at_least = kHaving;
+    statement.limit = limit;
+    const Result result = Execute(statement, table);
+    const Result again = Execute(statement, table);
+    ASSERT_EQ(result.rows.size(), std::min(limit, qualifying.size()))
+        << "limit " << limit;
+    ASSERT_EQ(again.rows.size(), result.rows.size());
+    std::vector<DynKey> keys;
+    for (size_t i = 0; i < result.rows.size(); ++i) {
+      const ResultRow& row = result.rows[i];
+      EXPECT_GE(row.size, kHaving);
+      EXPECT_EQ(row.key, qualifying[i].first) << i;
+      EXPECT_EQ(row.size, qualifying[i].second) << i;
+      EXPECT_EQ(again.rows[i].key, row.key) << i;
+      EXPECT_EQ(again.rows[i].size, row.size) << i;
+      EXPECT_EQ(again.rows[i].field_text, row.field_text) << i;
+      keys.push_back(row.key);
+    }
+    std::sort(keys.begin(), keys.end(), KeyOrderLess<DynKey>);
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+  }
+}
+
 TEST(SqlExecute, PrefixAggregation) {
   // Both 34.52.73.x sources share a /24.
   std::string error;
