@@ -39,7 +39,7 @@ namespace coco::bench {
 struct Solution {
   std::string name;
   std::function<void(const Packet&)> update;
-  std::function<query::GroupTable<DynKey>(size_t spec_index)> table;
+  std::function<query::FlowTable<DynKey>(size_t spec_index)> table;
   std::function<void()> reset;
 };
 
@@ -54,6 +54,13 @@ inline size_t BenchPackets(size_t fallback = 1'000'000) {
 }
 
 // ---- Solution factories ---------------------------------------------------
+
+// A paper baseline's std::unordered_map decode, copied into the FlowTable
+// that the query front-end and the CocoSketch family share.
+template <typename Map>
+query::FlowTable<typename Map::key_type> ToFlowTable(const Map& decoded) {
+  return {decoded.begin(), decoded.end()};
+}
 
 inline Solution MakeCoco(size_t memory, std::vector<keys::TupleKeySpec> specs,
                          size_t d = 2, uint64_t seed = 0xc0c0) {
@@ -119,7 +126,7 @@ inline Solution MakeUss(size_t memory,
         if (!cache->empty()) cache->clear();
       },
       [sketch, cache, specs_ptr](size_t i) {
-        if (cache->empty()) *cache = sketch->Decode();
+        if (cache->empty()) *cache = ToFlowTable(sketch->Decode());
         return query::Aggregate(*cache, (*specs_ptr)[i]);
       },
       [sketch, cache] {
@@ -148,13 +155,7 @@ Solution MakePerKey(std::string name, size_t total_memory,
           (*sketches)[i]->Update((*specs_ptr)[i].Apply(p.key), p.weight);
         }
       },
-      [sketches](size_t i) {
-        query::GroupTable<DynKey> table;
-        for (const auto& [key, size] : (*sketches)[i]->Decode()) {
-          table.Add(key, size);
-        }
-        return table;
-      },
+      [sketches](size_t i) { return ToFlowTable((*sketches)[i]->Decode()); },
       [sketches] {
         for (auto& s : *sketches) s->Clear();
       },

@@ -17,10 +17,11 @@
 #             JSON reader, the frame/delta decoders, the SIMD kernels'
 #             word loads against the padded SoA key plane, the hostile
 #             trace generators, the overlapping tail loads of
-#             hash::Hash64 / MultiHash on exact-length heap buffers, and
-#             the query path's GroupTable slot index and bounded top-k
-#             heap (fuzz_test, hash_test, query_test, sql_test plus the
-#             same seven, for free)
+#             hash::Hash64 / MultiHash on exact-length heap buffers, the
+#             flat FlowTable's slot index and its word-level decode insert
+#             path straight from the bucket arrays, and the query path's
+#             bounded top-k heap (fuzz_test, hash_test, cocosketch_test,
+#             query_test, sql_test plus the same seven, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -54,7 +55,7 @@ fi
 for p in "${presets[@]}"; do
   case "$p" in
     thread) run_preset thread ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
-    address) run_preset address fuzz_test hash_test query_test sql_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test cocosketch_test query_test sql_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

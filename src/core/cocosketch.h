@@ -26,11 +26,11 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
+#include "common/flow_table.h"
 #include "common/rng.h"
 #include "core/batch_window.h"
 #include "core/bucket_array.h"
@@ -119,16 +119,17 @@ class CocoSketch {
   // Step 3 of the workflow (Fig. 1): the (FullKey, Size) table of all
   // recorded flows, input to the partial-key query front-end. The occupied
   // buckets are enumerated with the tier's find-next-occupied scan, so empty
-  // runs cost a vector compare instead of a branch per bucket.
-  std::unordered_map<Key, uint64_t> Decode() const {
-    std::unordered_map<Key, uint64_t> out;
+  // runs cost a vector compare instead of a branch per bucket, and each
+  // bucket's padded key words go straight into the table (hashed as words,
+  // copied once). A key held in several buckets (after a merge) is summed.
+  FlowTable<Key> Decode() const {
+    FlowTable<Key> out;
     out.reserve(buckets_.size());
     const uint32_t* values = buckets_.values();
     const size_t n = buckets_.size();
     for (size_t i = simd::FindNextNonZero(tier_, values, n, 0); i < n;
          i = simd::FindNextNonZero(tier_, values, n, i + 1)) {
-      auto [it, inserted] = out.emplace(buckets_.KeyAt(i), values[i]);
-      if (!inserted) it->second += values[i];
+      out.AddWords(buckets_.KeyWords(i), values[i]);
     }
     return out;
   }

@@ -28,11 +28,11 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
+#include "common/flow_table.h"
 #include "common/rng.h"
 #include "core/batch_window.h"
 #include "core/bucket_array.h"
@@ -149,20 +149,21 @@ class HwCocoSketch {
   }
 
   // Full-key flow table: every key recorded anywhere, scored by Query().
-  std::unordered_map<Key, uint64_t> Decode() const {
-    std::unordered_map<Key, uint64_t> out;
-    out.reserve(buckets_.size());
+  FlowTable<Key> Decode() const {
+    FlowTable<Key> recorded;  // dedupe first, score below
+    recorded.reserve(buckets_.size());
     const uint32_t* values = buckets_.values();
     const size_t n = buckets_.size();
     for (size_t i = simd::FindNextNonZero(tier_, values, n, 0); i < n;
          i = simd::FindNextNonZero(tier_, values, n, i + 1)) {
-      out.emplace(buckets_.KeyAt(i), 0);  // dedupe first, score below
+      recorded.AddWords(buckets_.KeyWords(i), 0);
     }
-    for (auto& [key, est] : out) est = Query(key);
     // Median-of-zeros can score a recorded key at 0; drop those — they are
     // indistinguishable from unrecorded flows.
-    for (auto it = out.begin(); it != out.end();) {
-      it = it->second == 0 ? out.erase(it) : std::next(it);
+    FlowTable<Key> out;
+    out.reserve(recorded.size());
+    for (const auto& [key, unused] : recorded) {
+      if (const uint64_t est = Query(key); est != 0) out.Add(key, est);
     }
     return out;
   }

@@ -14,6 +14,17 @@
 // the bytes as a zero-padded little-endian tail word; tests/hash_test.cpp
 // pins it with golden values, since state-image and frame checksums, the
 // steering split and unordered-container order all depend on it.
+//
+// Hash64Words is the word-level form, for keys already held as zero-padded
+// 64-bit words (the sketches' bucket slots, core/bucket_array.h). Hash64
+// mixes a full 8-byte block as the little-endian word it loads, and a tail
+// of t < 8 bytes as the zero-extended little-endian word LoadTail builds,
+// marked with t << 56. A padded word array holds exactly those words: the
+// full blocks verbatim and the tail in its last word with zero pad bytes.
+// So mixing each full word as-is, and the last word with the same marker
+// when len % 8 != 0, gives the same hash bit for bit — without re-reading
+// the key as bytes, which a decode scan would have to copy out of the
+// bucket array first. tests/hash_test.cpp checks the two agree.
 #pragma once
 
 #include <bit>
@@ -67,6 +78,12 @@ inline uint64_t LoadTail(const uint8_t* data, size_t len, size_t n) {
          (static_cast<uint64_t>(t[n - 1]) << (8 * (n - 1)));
 }
 
+// One block step of Hash64's xor-fold: `k` is an 8-byte block, or the tail
+// word already carrying its length marker.
+inline uint64_t MixBlock(uint64_t h, uint64_t k) {
+  return (h ^ Fmix64(k)) * 0x9ddfea08eb382d69ULL;
+}
+
 // 64-bit hash: MurmurHash3 x64 finalizer applied to a xor-folded block mix.
 // Cheap, good avalanche; used by flow steering, trace generation, the flow
 // tables and the state-image and frame checksums.
@@ -77,12 +94,23 @@ inline uint64_t Hash64(const void* data, size_t len, uint64_t seed) {
   for (size_t i = 0; i < len - tail; i += 8) {
     uint64_t k;
     std::memcpy(&k, bytes + i, 8);
-    h = (h ^ Fmix64(k)) * 0x9ddfea08eb382d69ULL;
+    h = MixBlock(h, k);
   }
   if (tail > 0) {
     const uint64_t k = LoadTail(bytes, len, tail);
-    h = (h ^ Fmix64(k | (static_cast<uint64_t>(tail) << 56))) *
-        0x9ddfea08eb382d69ULL;
+    h = MixBlock(h, k | (static_cast<uint64_t>(tail) << 56));
+  }
+  return Fmix64(h);
+}
+
+// Hash64 of the `len` bytes held in (len + 7) / 8 words whose bytes past
+// `len` are zero (see the header comment).
+inline uint64_t Hash64Words(const uint64_t* words, size_t len, uint64_t seed) {
+  uint64_t h = seed ^ (len * 0xc6a4a7935bd1e995ULL);
+  const size_t full = len / 8;
+  for (size_t i = 0; i < full; ++i) h = MixBlock(h, words[i]);
+  if (const size_t tail = len % 8; tail > 0) {
+    h = MixBlock(h, words[full] | (static_cast<uint64_t>(tail) << 56));
   }
   return Fmix64(h);
 }

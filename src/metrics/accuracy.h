@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace coco::metrics {
@@ -28,7 +27,7 @@ struct Accuracy {
 // `truth` maps every real key to its exact size; a key is "correct" when its
 // true size >= threshold and "reported" when its estimate >= threshold.
 // Either table may be any type that iterates (key, size) pairs and has
-// find() (a std::unordered_map or a query::GroupTable).
+// find() (a std::unordered_map or a FlowTable).
 template <typename Estimates, typename Truth>
 Accuracy ScoreThreshold(const Estimates& estimates, const Truth& truth,
                         uint64_t threshold) {
@@ -72,8 +71,8 @@ Accuracy ScoreThreshold(const Estimates& estimates, const Truth& truth,
 // exact run conserves offered mass exactly, and after a crash recovery the
 // merged table's mass must sit within the reported bounded-loss estimate of
 // the fault-free run's.
-template <typename Key>
-uint64_t TotalMass(const std::unordered_map<Key, uint64_t>& table) {
+template <typename Table>
+uint64_t TotalMass(const Table& table) {
   uint64_t total = 0;
   for (const auto& [key, size] : table) total += size;
   return total;

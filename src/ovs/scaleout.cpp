@@ -166,7 +166,7 @@ void AddCounts(ScaleoutResult* into, const ScaleoutResult& from) {
 // fold's conflict count.
 uint64_t FoldEpochSketches(std::vector<const Sketch*> sources,
                            size_t per_shard_memory, size_t d, Rng* rng,
-                           std::unordered_map<FiveTuple, uint64_t>* table) {
+                           FlowTable<FiveTuple>* table) {
   std::stable_sort(sources.begin(), sources.end(),
                    [](const Sketch* a, const Sketch* b) {
                      return a->seed() < b->seed();
@@ -845,7 +845,7 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
   // ---- Epoch collector: requests rotations on a drained-packet cadence
   // and folds each published epoch while the writers keep running. ----
   std::vector<EpochRecord> epochs;
-  std::unordered_map<FiveTuple, uint64_t> merged_table;
+  FlowTable<FiveTuple> merged_table;
   Rng merge_rng(config.seed ^ 0xe90c4ULL);
   std::thread collector;
   uint64_t last_requested = 0;

@@ -48,9 +48,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flow_table.h"
 #include "core/attack_monitor.h"
 #include "obs/metrics.h"
 #include "ovs/fault.h"
@@ -238,7 +238,7 @@ struct ScaleoutResult {
 
   // Decode of every epoch's merged sketch, accumulated — the control-plane
   // flow table over the whole run.
-  std::unordered_map<FiveTuple, uint64_t> merged_table;
+  FlowTable<FiveTuple> merged_table;
 
   ShardTopology topology;
 };

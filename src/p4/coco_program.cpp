@@ -181,9 +181,9 @@ uint64_t P4CocoSketch::Query(const FiveTuple& key) const {
                            : (est[recorded / 2 - 1] + est[recorded / 2]) / 2;
 }
 
-std::unordered_map<FiveTuple, uint64_t> P4CocoSketch::Decode() const {
-  std::unordered_map<FiveTuple, uint64_t> out;
-  out.reserve(d_ * l_);
+FlowTable<FiveTuple> P4CocoSketch::Decode() const {
+  FlowTable<FiveTuple> recorded;  // dedupe first, score below
+  recorded.reserve(d_ * l_);
   for (size_t i = 0; i < d_; ++i) {
     const auto& values = interpreter_.ValueArray(static_cast<uint16_t>(i));
     for (size_t b = 0; b < l_; ++b) {
@@ -194,12 +194,13 @@ std::unordered_map<FiveTuple, uint64_t> P4CocoSketch::Decode() const {
       }
       FiveTuple key;
       std::memcpy(key.data(), words, FiveTuple::kSize);
-      out.emplace(key, 0);
+      recorded.Add(key, 0);
     }
   }
-  for (auto it = out.begin(); it != out.end();) {
-    it->second = Query(it->first);
-    it = it->second == 0 ? out.erase(it) : std::next(it);
+  FlowTable<FiveTuple> out;
+  out.reserve(recorded.size());
+  for (const auto& [key, unused] : recorded) {
+    if (const uint64_t est = Query(key); est != 0) out.Add(key, est);
   }
   return out;
 }

@@ -17,8 +17,7 @@
 // buys, and p4::Validate checks it mechanically.
 #pragma once
 
-#include <unordered_map>
-
+#include "common/flow_table.h"
 #include "core/hw_cocosketch.h"
 #include "p4/program.h"
 #include "packet/keys.h"
@@ -45,7 +44,7 @@ class P4CocoSketch {
   // Median-over-recorded-arrays estimate, as in HwCocoSketch.
   uint64_t Query(const FiveTuple& key) const;
 
-  std::unordered_map<FiveTuple, uint64_t> Decode() const;
+  FlowTable<FiveTuple> Decode() const;
 
   void Clear();
 

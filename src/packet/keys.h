@@ -68,6 +68,12 @@ struct FixedKey {
     return hash::Hash64(bytes.data(), N, seed);
   }
 
+  // Hash() of the key held as kWords zero-padded words (ToWords' layout, a
+  // bucket slot), read a word at a time; bit-identical to Hash().
+  static uint64_t HashWords(const uint64_t* words, uint64_t seed = 0) {
+    return hash::Hash64Words(words, N, seed);
+  }
+
   std::string ToHex() const { return HexDump(bytes.data(), N); }
 };
 

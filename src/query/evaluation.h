@@ -14,19 +14,21 @@
 
 namespace coco::query {
 
-// Scores a decoded full-key table on heavy hitters for each partial key in
+// Scores a decoded full-key table (a FlowTable, or a baseline's
+// std::unordered_map decode) on heavy hitters for each partial key in
 // `specs`. The threshold is `fraction` of the total traffic (the paper uses
 // 1e-4). Returns one Accuracy per spec, in order.
-template <typename Key, typename Spec>
+template <typename Table, typename Spec>
 std::vector<metrics::Accuracy> ScoreHeavyHittersPerKey(
-    const FlowTable<Key>& decoded, const trace::ExactCounter<Key>& truth,
+    const Table& decoded,
+    const trace::ExactCounter<typename Table::key_type>& truth,
     const std::vector<Spec>& specs, double fraction) {
   const uint64_t threshold =
       static_cast<uint64_t>(fraction * static_cast<double>(truth.Total()));
   std::vector<metrics::Accuracy> scores;
   scores.reserve(specs.size());
   for (const Spec& spec : specs) {
-    const GroupTable<DynKey> est = Aggregate(decoded, spec);
+    const FlowTable<DynKey> est = Aggregate(decoded, spec);
     const trace::ExactCounter<DynKey> exact = truth.Aggregate(spec);
     scores.push_back(
         metrics::ScoreThreshold(est, exact.counts(), threshold));
@@ -49,8 +51,8 @@ std::vector<metrics::Accuracy> ScoreHeavyChangesPerKey(
   std::vector<metrics::Accuracy> scores;
   scores.reserve(specs.size());
   for (const Spec& spec : specs) {
-    const GroupTable<DynKey> est = AbsDiff(Aggregate(decoded_before, spec),
-                                           Aggregate(decoded_after, spec));
+    const FlowTable<DynKey> est = AbsDiff(Aggregate(decoded_before, spec),
+                                          Aggregate(decoded_after, spec));
     const trace::ExactCounter<DynKey> exact_before =
         truth_before.Aggregate(spec);
     const trace::ExactCounter<DynKey> exact_after =

@@ -1,123 +1,42 @@
 // Partial-key query front-end (§4.3, steps 3-4 of Fig. 1).
 //
-// The data plane is decoded once into a (FullKey, Size) table; any partial
-// key is then answered by the relational aggregation
+// The data plane is decoded once into a (FullKey, Size) FlowTable; any
+// partial key is then answered by the relational aggregation
 //     SELECT g(k_F), SUM(Size) FROM table GROUP BY g(k_F)
-// implemented here as Aggregate(), which sums into a GroupTable. Heavy
+// implemented here as Aggregate(), which sums into another FlowTable. Heavy
 // changes are the aggregated absolute difference of two windows' tables.
 //
 // The read-side helpers (AbsDiff, TopEntries, TopRows, FilterThreshold) take
 // any table that iterates (key, size) pairs, exposes key_type and has
-// find(): a decoded FlowTable or a GroupTable.
+// find(): a FlowTable or a std::unordered_map.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
+#include "common/flow_table.h"
 #include "packet/keys.h"
 
 namespace coco::query {
 
-// A decoded full-key table: what every sketch's Decode() returns.
-template <typename Key>
-using FlowTable = std::unordered_map<Key, uint64_t>;
+// The decoded full-key table and the GROUP BY result: one flat
+// open-addressing (key, size) table (common/flow_table.h).
+using coco::FlowTable;
 
-// The result of a GROUP BY: one (key, summed size) entry per group, stored
-// contiguously in first-insertion order and found through a power-of-two
-// array of uint32_t entry positions (load <= 1/2, linear probing on
-// Key::Hash()). Groups are never erased. Iterators and pointers to entries
-// stay valid until the next Add or reserve.
-template <typename Key>
-class GroupTable {
- public:
-  using key_type = Key;
-  using mapped_type = uint64_t;
-  using value_type = std::pair<Key, uint64_t>;
-  using const_iterator = typename std::vector<value_type>::const_iterator;
-
-  // Room for n groups without growing.
-  void reserve(size_t n) {
-    entries_.reserve(n);
-    if (2 * n > slots_.size()) Rehash(std::bit_ceil(2 * n));
-  }
-
-  // SUM: adds `size` to key's group, appending the group if it is new.
-  void Add(const Key& key, uint64_t size) {
-    if (2 * (entries_.size() + 1) > slots_.size()) {
-      Rehash(std::max(kMinSlots, 2 * slots_.size()));
-    }
-    uint32_t& slot = slots_[SlotOf(key)];
-    if (slot == kEmpty) {
-      slot = static_cast<uint32_t>(entries_.size());
-      entries_.emplace_back(key, size);
-    } else {
-      entries_[slot].second += size;
-    }
-  }
-
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  const_iterator find(const Key& key) const {
-    if (slots_.empty()) return end();
-    const uint32_t index = slots_[SlotOf(key)];
-    return index == kEmpty ? end() : begin() + index;
-  }
-  size_t count(const Key& key) const { return find(key) != end(); }
-  const uint64_t& at(const Key& key) const {
-    const auto it = find(key);
-    if (it == end()) throw std::out_of_range("GroupTable::at: absent key");
-    return it->second;
-  }
-
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  static constexpr size_t kMinSlots = 16;
-
-  // The slot holding key's entry position, or the empty slot that ends its
-  // probe. Some slot is always empty, because load <= 1/2.
-  size_t SlotOf(const Key& key) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>(key.Hash()) & mask;
-    while (slots_[i] != kEmpty && !(entries_[slots_[i]].first == key)) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
-  void Rehash(size_t slot_count) {
-    // Entry positions must stay below kEmpty.
-    COCO_CHECK(slot_count <= (size_t{1} << 32), "group table too large");
-    slots_.assign(slot_count, kEmpty);
-    const size_t mask = slot_count - 1;
-    for (size_t e = 0; e < entries_.size(); ++e) {
-      size_t i = static_cast<size_t>(entries_[e].first.Hash()) & mask;
-      while (slots_[i] != kEmpty) i = (i + 1) & mask;
-      slots_[i] = static_cast<uint32_t>(e);
-    }
-  }
-
-  std::vector<value_type> entries_;
-  std::vector<uint32_t> slots_;
-};
-
-// GROUP BY g(k_F) SUM(Size): `Spec` is any mapping exposing
+// GROUP BY g(k_F) SUM(Size) over any (key, size) table (a decoded
+// FlowTable, or ExactCounter::counts()): `Spec` is any mapping exposing
 // Apply(Key) -> partial key (keys::TupleKeySpec, keys::PrefixSpec,
 // keys::V6KeySpec, ...); the output key type follows the spec. Groups come
 // out in the order the table first produces them.
-template <typename Key, typename Spec>
-auto Aggregate(const FlowTable<Key>& table, const Spec& spec) {
+template <typename Table, typename Spec>
+auto Aggregate(const Table& table, const Spec& spec) {
+  using Key = typename Table::key_type;
   using OutKey = decltype(spec.Apply(std::declval<const Key&>()));
-  GroupTable<OutKey> out;
+  FlowTable<OutKey> out;
   out.reserve(table.size());
   for (const auto& [key, size] : table) out.Add(spec.Apply(key), size);
   return out;
@@ -125,8 +44,8 @@ auto Aggregate(const FlowTable<Key>& table, const Spec& spec) {
 
 // |a - b| per key over the union of key sets — the heavy-change signal.
 template <typename Table>
-GroupTable<typename Table::key_type> AbsDiff(const Table& a, const Table& b) {
-  GroupTable<typename Table::key_type> out;
+FlowTable<typename Table::key_type> AbsDiff(const Table& a, const Table& b) {
+  FlowTable<typename Table::key_type> out;
   out.reserve(a.size() + b.size());
   for (const auto& [key, va] : a) {
     const auto it = b.find(key);
@@ -206,9 +125,9 @@ std::vector<std::pair<typename Table::key_type, uint64_t>> TopRows(
 
 // Keys at or above a threshold — the reported set for HH / HC tasks.
 template <typename Table>
-FlowTable<typename Table::key_type> FilterThreshold(const Table& table,
-                                                    uint64_t threshold) {
-  FlowTable<typename Table::key_type> out;
+std::unordered_map<typename Table::key_type, uint64_t> FilterThreshold(
+    const Table& table, uint64_t threshold) {
+  std::unordered_map<typename Table::key_type, uint64_t> out;
   for (const auto& [key, size] : table) {
     if (size >= threshold) out.emplace(key, size);
   }

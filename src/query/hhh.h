@@ -49,7 +49,7 @@ inline std::vector<HhhEntry> DiscountedHhh(
 
   for (uint8_t bits : levels) {
     const keys::PrefixSpec spec(bits);
-    const GroupTable<DynKey> level = Aggregate(full_table, spec);
+    const FlowTable<DynKey> level = Aggregate(full_table, spec);
     const uint32_t mask = bits == 0 ? 0u : ~uint32_t{0} << (32 - bits);
 
     std::vector<HhhEntry> found_here;

@@ -364,7 +364,7 @@ std::optional<Statement> Parse(const std::string& text, std::string* error) {
 Result Execute(const Statement& statement,
                const FlowTable<FiveTuple>& table) {
   keys::TupleKeySpec spec("sql", statement.fields);
-  const GroupTable<DynKey> aggregated = Aggregate(table, spec);
+  const FlowTable<DynKey> aggregated = Aggregate(table, spec);
 
   Result result;
   for (const keys::FieldSel& sel : statement.fields) {
@@ -389,7 +389,7 @@ Result Execute(const Statement& statement,
     for (const auto& [size, key] : top) emit(*key, size);
   } else {
     // Unordered: the first `limit` qualifying groups in the order the
-    // aggregation first met them (GroupTable insertion order).
+    // aggregation first met them (FlowTable insertion order).
     for (const auto& [key, size] : aggregated) {
       if (result.rows.size() == limit) break;
       if (size >= min_size) emit(key, size);

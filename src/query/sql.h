@@ -56,7 +56,7 @@ struct Result {
 // Executes a parsed statement against a decoded full-key table. With
 // ORDER BY, rows come by size descending, equal sizes by key
 // (query::KeyOrderLess). Without it, rows come in the order the GROUP BY
-// first met each group (query::GroupTable insertion order, which follows the
+// first met each group (query::FlowTable insertion order, which follows the
 // input table's iteration order), and LIMIT keeps the first qualifying ones.
 Result Execute(const Statement& statement, const FlowTable<FiveTuple>& table);
 

@@ -1,16 +1,26 @@
 // Tests for the basic CocoSketch (§4.1): update semantics, mass
 // conservation, the at-most-one-copy invariant, unbiasedness over partial
-// keys (Lemma 3), the recall bound (Theorem 4), and heavy-hitter quality.
+// keys (Lemma 3), the recall bound (Theorem 4), heavy-hitter quality, and
+// Decode into the flat FlowTable against a std::unordered_map reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/sizes.h"
 #include "core/cocosketch.h"
+#include "core/hw_cocosketch.h"
+#include "core/merge.h"
 #include "keys/key_spec.h"
+#include "keys/v6.h"
+#include "metrics/accuracy.h"
 #include "packet/keys.h"
 #include "query/flow_table.h"
+#include "simd/dispatch.h"
 #include "trace/generators.h"
 #include "trace/ground_truth.h"
 
@@ -217,6 +227,222 @@ TEST(CocoSketch, ClearResets) {
 
 TEST(CocoSketch, RejectsBadGeometry) {
   EXPECT_DEATH(CocoSketch<FiveTuple>(8, 2), "memory too small");
+}
+
+// --- Decode into the flat FlowTable ----------------------------------------
+
+// Every tier this host can execute, deduplicated.
+std::vector<simd::Tier> HostTiers() {
+  std::vector<simd::Tier> tiers;
+  for (simd::Tier t :
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    if (simd::ClampTier(t) == t) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+template <typename Key>
+Key RandomKey(Rng* rng) {
+  Key key;
+  for (size_t i = 0; i < Key::kSize; ++i) {
+    key.data()[i] = static_cast<uint8_t>(rng->Next());
+  }
+  return key;
+}
+
+template <typename Key>
+std::vector<Key> RandomPool(size_t flows, Rng* rng) {
+  std::vector<Key> pool;
+  for (size_t f = 0; f < flows; ++f) pool.push_back(RandomKey<Key>(rng));
+  return pool;
+}
+
+// `packets` updates drawn from `pool` with a skew, so the sketch sees
+// matches, evictions and replacements.
+template <typename Sketch, typename Key>
+void FeedSkewed(Sketch* sketch, const std::vector<Key>& pool, size_t packets,
+                Rng* rng) {
+  for (size_t i = 0; i < packets; ++i) {
+    sketch->Update(pool[rng->NextBelow(1 + rng->NextBelow(pool.size()))],
+                   1 + static_cast<uint32_t>(rng->NextBelow(3)));
+  }
+}
+
+size_t OccupiedBuckets(const auto& buckets) {
+  size_t n = 0;
+  for (size_t i = 0; i < buckets.size(); ++i) n += buckets.Value(i) != 0;
+  return n;
+}
+
+// Reference decode, independent of FlowTable: every occupied bucket's key,
+// read back through KeyAt, summed into a std::unordered_map.
+template <typename Key>
+std::unordered_map<Key, uint64_t> ReferenceDecode(
+    const BucketArray<Key>& buckets) {
+  std::unordered_map<Key, uint64_t> ref;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets.Value(i) != 0) ref[buckets.KeyAt(i)] += buckets.Value(i);
+  }
+  return ref;
+}
+
+template <typename Key>
+Key AbsentKey(const std::unordered_map<Key, uint64_t>& ref, Rng* rng) {
+  Key key = RandomKey<Key>(rng);
+  while (ref.count(key) != 0) key = RandomKey<Key>(rng);
+  return key;
+}
+
+// `table` holds exactly ref's keys with ref's sizes, and find / count / at /
+// operator[] / operator== agree with it on present and absent keys.
+template <typename Key>
+void ExpectTableMatches(const FlowTable<Key>& table,
+                        const std::unordered_map<Key, uint64_t>& ref,
+                        const Key& absent) {
+  ASSERT_EQ(ref.count(absent), 0u);
+  EXPECT_EQ(table.size(), ref.size());
+  EXPECT_EQ(table.empty(), ref.empty());
+  uint64_t mass = 0;
+  for (const auto& [key, size] : table) {
+    const auto it = ref.find(key);
+    ASSERT_NE(it, ref.end()) << key.ToHex();
+    EXPECT_EQ(size, it->second) << key.ToHex();
+    mass += size;
+  }
+  uint64_t ref_mass = 0;
+  FlowTable<Key> copy = table;
+  for (const auto& [key, size] : ref) {
+    ref_mass += size;
+    const auto it = table.find(key);
+    ASSERT_NE(it, table.end()) << key.ToHex();
+    EXPECT_TRUE(it->first == key) << key.ToHex();
+    EXPECT_EQ(it->second, size) << key.ToHex();
+    EXPECT_EQ(table.count(key), 1u) << key.ToHex();
+    EXPECT_EQ(table.at(key), size) << key.ToHex();
+    EXPECT_EQ(copy[key], size) << key.ToHex();
+  }
+  EXPECT_EQ(mass, ref_mass);
+  EXPECT_TRUE(copy == table);  // operator[] on present keys inserted nothing
+  EXPECT_TRUE(FlowTable<Key>(ref.begin(), ref.end()) == table);
+  EXPECT_EQ(table.find(absent), table.end());
+  EXPECT_EQ(table.count(absent), 0u);
+  EXPECT_THROW(table.at(absent), std::out_of_range);
+  EXPECT_EQ(copy[absent], 0u);
+  EXPECT_EQ(copy.size(), table.size() + 1);
+  EXPECT_FALSE(copy == table);
+  if (table.empty()) return;
+  // Equality needs equal sizes and the same keys, not just as many.
+  FlowTable<Key> bumped = table;
+  ++bumped[table.begin()->first];
+  EXPECT_FALSE(bumped == table);
+  FlowTable<Key> swapped(std::next(table.begin()), table.end());
+  swapped.Add(absent, table.begin()->second);
+  EXPECT_FALSE(swapped == table);
+}
+
+template <typename Key>
+void ExpectDecodeMatchesReference(size_t memory, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << Key::kSize << "-byte keys");
+  Rng rng(seed);
+  CocoSketch<Key> sketch(memory, 2, seed);
+  FeedSkewed(&sketch, RandomPool<Key>(4000, &rng), 40000, &rng);
+  const auto ref = ReferenceDecode(sketch.Buckets());
+  ASSERT_GT(ref.size(), 100u);
+  for (simd::Tier t : HostTiers()) {
+    SCOPED_TRACE(simd::TierName(t));
+    sketch.SetSimdTier(t);
+    ExpectTableMatches(sketch.Decode(), ref, AbsentKey(ref, &rng));
+  }
+}
+
+TEST(CocoSketchDecode, AddWordsKeepsKeysDifferingInOneByteApart) {
+  // Keys that differ in a single byte, inserted from their padded words
+  // into a table grown from its smallest slot array, so probe chains cross
+  // often: a compare or copy that skipped any byte would merge or corrupt
+  // them.
+  Rng rng(9);
+  const FiveTuple base = RandomKey<FiveTuple>(&rng);
+  std::unordered_map<FiveTuple, uint64_t> ref;
+  FlowTable<FiveTuple> table;
+  for (size_t byte = 0; byte < FiveTuple::kSize; ++byte) {
+    for (int value = 0; value < 256; value += 5) {
+      FiveTuple key = base;
+      key.data()[byte] = static_cast<uint8_t>(value);
+      uint64_t words[FiveTuple::kWords];
+      key.ToWords(words);
+      const uint64_t size = 1 + rng.NextBelow(100);
+      table.AddWords(words, size);
+      ref[key] += size;
+    }
+  }
+  ExpectTableMatches(table, ref, AbsentKey(ref, &rng));
+}
+
+TEST(CocoSketchDecode, MatchesReferenceOnEveryTierAndKeyWidth) {
+  ExpectDecodeMatchesReference<IPv4Key>(KiB(16), 1);
+  ExpectDecodeMatchesReference<IpPairKey>(KiB(16), 2);
+  ExpectDecodeMatchesReference<FiveTuple>(KiB(16), 3);
+  ExpectDecodeMatchesReference<keys::V6Tuple>(KiB(16), 4);
+}
+
+TEST(CocoSketchDecode, EmptySketchDecodesToEmptyTable) {
+  CocoSketch<FiveTuple> sketch(KiB(16), 2, 5);
+  for (simd::Tier t : HostTiers()) {
+    SCOPED_TRACE(simd::TierName(t));
+    sketch.SetSimdTier(t);
+    ExpectTableMatches(sketch.Decode(), {}, FiveTuple(1, 2, 3, 4, 6));
+  }
+}
+
+TEST(CocoSketchDecode, MergedShardsSumKeysHeldInSeveralBuckets) {
+  Rng rng(6);
+  CocoSketch<FiveTuple> a(KiB(8), 2, 0x5eed), b(KiB(8), 2, 0x5eed);
+  // Both shards see the same flows, so a flow can land in array 0 of one
+  // and array 1 of the other.
+  const auto pool = RandomPool<FiveTuple>(3000, &rng);
+  FeedSkewed(&a, pool, 30000, &rng);
+  FeedSkewed(&b, pool, 30000, &rng);
+  CocoSketch<FiveTuple> merged(KiB(8), 2, 0x5eed);
+  Rng merge_rng(7);
+  ASSERT_TRUE(MergeAll(&merged, {&a, &b}, &merge_rng).ok);
+  const auto ref = ReferenceDecode(merged.Buckets());
+  // The merge must leave some key in two buckets, or summation goes
+  // unexercised.
+  ASSERT_GT(OccupiedBuckets(merged.Buckets()), ref.size());
+  for (simd::Tier t : HostTiers()) {
+    SCOPED_TRACE(simd::TierName(t));
+    merged.SetSimdTier(t);
+    const auto table = merged.Decode();
+    ExpectTableMatches(table, ref, AbsentKey(ref, &rng));
+    EXPECT_EQ(metrics::TotalMass(table), merged.TotalValue());
+  }
+}
+
+TEST(CocoSketchDecode, HwVariantMatchesScoredReference) {
+  // HwCocoSketch records a flow in every array that replaced its key, so
+  // one key can sit in several buckets; Decode scores each distinct key
+  // once with Query() and drops the keys that score 0.
+  Rng rng(8);
+  HwCocoSketch<FiveTuple> hw(KiB(8), 2, DivisionMode::kExact, 0x5eed);
+  FeedSkewed(&hw, RandomPool<FiveTuple>(3000, &rng), 30000, &rng);
+  std::unordered_map<FiveTuple, uint64_t> scored;
+  const auto& buckets = hw.Buckets();
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets.Value(i) == 0) continue;
+    const FiveTuple key = buckets.KeyAt(i);
+    scored.emplace(key, hw.Query(key));
+  }
+  ASSERT_GT(OccupiedBuckets(buckets), scored.size());
+  std::unordered_map<FiveTuple, uint64_t> ref;
+  for (const auto& [key, est] : scored) {
+    if (est != 0) ref.emplace(key, est);
+  }
+  ASSERT_GT(ref.size(), 100u);
+  for (simd::Tier t : HostTiers()) {
+    SCOPED_TRACE(simd::TierName(t));
+    hw.SetSimdTier(t);
+    ExpectTableMatches(hw.Decode(), ref, AbsentKey(ref, &rng));
+  }
 }
 
 }  // namespace

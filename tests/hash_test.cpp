@@ -1,6 +1,7 @@
 // Unit tests for src/hash: determinism, seed independence, avalanche
 // behaviour, bucket-distribution uniformity of the hash family, and golden
-// values that pin Hash64 / HashU64 / MultiHash / the steering split.
+// values that pin Hash64 / HashU64 / MultiHash / the steering split, and
+// the word-level Hash64Words / FixedKey::HashWords against them.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,8 +11,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "hash/bobhash.h"
 #include "hash/multihash.h"
+#include "keys/v6.h"
 #include "ovs/steering.h"
 #include "packet/keys.h"
 
@@ -321,6 +324,54 @@ TEST(Hash64, GoldenValuesEveryLengthAndSeed) {
       }
     }
   }
+}
+
+// The word-level form reads a key as the zero-padded words a bucket slot
+// holds (FixedKey::ToWords); it must give Hash64 of the key bytes, bit for
+// bit, at every length (so every tail size 0..7).
+TEST(Hash64Words, MatchesHash64AtEveryLengthAndSeed) {
+  for (size_t len = 0; len <= 40; ++len) {
+    const std::vector<uint8_t> buf = GoldenBuffer(len, 0);
+    std::vector<uint64_t> words((len + 7) / 8, 0);
+    if (len > 0) std::memcpy(words.data(), buf.data(), len);
+    for (const uint64_t seed : kGoldenSeeds) {
+      EXPECT_EQ(Hash64Words(words.data(), len, seed),
+                Hash64(buf.data(), len, seed))
+          << "len " << len << " seed " << seed;
+    }
+  }
+}
+
+// FixedKey::HashWords equals Key::Hash() on random keys of a width.
+template <typename Key>
+void ExpectHashWordsMatchesHash(uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Key key;
+    for (size_t i = 0; i < Key::kSize; ++i) {
+      key.data()[i] = static_cast<uint8_t>(rng.Next());
+    }
+    uint64_t words[Key::kWords];
+    key.ToWords(words);
+    const uint64_t seed = trial % 2 == 0 ? 0 : rng.Next();
+    ASSERT_EQ(Key::HashWords(words, seed), key.Hash(seed))
+        << Key::kSize << "-byte key " << key.ToHex() << " seed " << seed;
+  }
+}
+
+TEST(Hash64Words, FixedKeyHashWordsMatchesHashAtEveryWidthInUse) {
+  ExpectHashWordsMatchesHash<IPv4Key>(4);         // tail word only
+  ExpectHashWordsMatchesHash<IpPairKey>(8);       // one full word
+  ExpectHashWordsMatchesHash<FiveTuple>(13);      // full word + tail
+  ExpectHashWordsMatchesHash<keys::V6Tuple>(37);  // four full words + tail
+}
+
+TEST(Hash64Words, GoldenFiveTuple) {
+  const FiveTuple key(0x0a000001, 0xc0a80001, 1234, 80, 6);
+  uint64_t words[FiveTuple::kWords];
+  key.ToWords(words);
+  EXPECT_EQ(FiveTuple::HashWords(words), 0x76bd3ea993fc9f1dULL);
+  EXPECT_EQ(FiveTuple::HashWords(words, 12345), 0x70488106357f22cfULL);
 }
 
 TEST(HashU64, GoldenValues) {

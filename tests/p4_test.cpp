@@ -213,7 +213,7 @@ TEST(P4CocoSketch, StatisticallyEquivalentToHwCocoSketch) {
     hw.Update(p.key, p.weight);
   }
 
-  auto f1_of = [&](const std::unordered_map<FiveTuple, uint64_t>& decoded) {
+  auto f1_of = [&](const FlowTable<FiveTuple>& decoded) {
     size_t heavy = 0, found = 0, reported = 0;
     for (const auto& [key, est] : decoded) reported += est >= threshold;
     for (const auto& [key, count] : truth.HeavyHitters(threshold)) {

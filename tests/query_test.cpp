@@ -174,14 +174,15 @@ TEST(TopEntries, HavingMatchesFullSort) {
   // `mixed` sizes from {1..6}. The bounds cover a HAVING every row meets, a
   // HAVING above every size (empty result) and n above the qualifying count.
   Rng rng(0x4a71);
-  GroupTable<DynKey> mixed;
+  FlowTable<DynKey> mixed;
   for (int i = 0; i < 300; ++i) {
     const keys::PrefixSpec spec(static_cast<uint8_t>(8 + rng.NextBelow(25)));
     mixed.Add(spec.Apply(IPv4Key(rng.Next32())), 1 + rng.NextBelow(6));
   }
-  GroupTable<DynKey> ties;
+  FlowTable<DynKey> ties;
   for (const auto& [key, size] : mixed) ties.Add(key, 5);
-  const FlowTable<DynKey> mixed_map(mixed.begin(), mixed.end());
+  const std::unordered_map<DynKey, uint64_t> mixed_map(mixed.begin(),
+                                                       mixed.end());
 
   const auto check = [](const auto& table, uint64_t min_size) {
     size_t qualifying = 0;
@@ -232,7 +233,7 @@ struct RefGroupBy {
 // with the same sums; every key in `absent` (none of which the reference
 // has) is not found.
 template <typename Key>
-void ExpectMatchesReference(const GroupTable<Key>& table,
+void ExpectMatchesReference(const FlowTable<Key>& table,
                             const RefGroupBy<Key>& ref,
                             const std::vector<Key>& absent) {
   ASSERT_EQ(table.size(), ref.first_seen.size());
@@ -260,14 +261,14 @@ void ExpectMatchesReference(const GroupTable<Key>& table,
   }
 }
 
-// Aggregate, and a GroupTable grown by Add alone from its first slot array,
+// Aggregate, and a FlowTable grown by Add alone from its first slot array,
 // both against the reference GROUP BY of `table` under `spec`.
 template <typename FullKey, typename Spec>
 void ExpectGroupByMatches(const FlowTable<FullKey>& table, const Spec& spec,
                           const std::vector<FullKey>& absent_rows) {
   using Key = decltype(spec.Apply(std::declval<const FullKey&>()));
   RefGroupBy<Key> ref;
-  GroupTable<Key> grown;
+  FlowTable<Key> grown;
   for (const auto& [key, size] : table) {
     ref.Add(spec.Apply(key), size);
     grown.Add(spec.Apply(key), size);
@@ -310,7 +311,7 @@ TEST(GroupTable, AggregateMatchesReferenceGroupBy) {
 
 TEST(GroupTable, PrefixHierarchyKeepsBitCountsApart) {
   // A /8 and a /16 of 10.0.0.0 have equal buffers and differ only in bits.
-  GroupTable<DynKey> pair;
+  FlowTable<DynKey> pair;
   const DynKey slash8 = keys::PrefixSpec(8).Apply(IPv4Key(0x0a000000u));
   const DynKey slash16 = keys::PrefixSpec(16).Apply(IPv4Key(0x0a000000u));
   ASSERT_EQ(slash8.buf, slash16.buf);
@@ -335,7 +336,7 @@ TEST(GroupTable, PrefixHierarchyKeepsBitCountsApart) {
   const std::vector<IPv4Key> absent = {IPv4Key(0x0fffffffu),
                                        IPv4Key(0x0eeeeeeeu)};
   RefGroupBy<DynKey> ref;
-  GroupTable<DynKey> levels;
+  FlowTable<DynKey> levels;
   std::vector<DynKey> absent_keys;
   for (const keys::PrefixSpec& spec : keys::PrefixSpec::Hierarchy()) {
     for (const auto& [key, size] : table) {

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "common/sizes.h"
 #include "core/cocosketch.h"
 #include "core/merge.h"
+#include "metrics/accuracy.h"
 #include "obs/metrics.h"
 #include "ovs/epoch.h"
 #include "ovs/scaleout.h"
@@ -51,12 +51,6 @@ size_t TestThreads() {
 uint64_t TraceWeight(const std::vector<Packet>& trace) {
   uint64_t total = 0;
   for (const Packet& p : trace) total += p.weight;
-  return total;
-}
-
-uint64_t TableMass(const std::unordered_map<FiveTuple, uint64_t>& table) {
-  uint64_t total = 0;
-  for (const auto& [key, value] : table) total += value;
   return total;
 }
 
@@ -313,7 +307,7 @@ TEST(Scaleout, RotationUnderLoadConservesMassPerEpoch) {
   const uint64_t total = TraceWeight(trace);
   EXPECT_EQ(epoch_mass, total);
   EXPECT_EQ(result.total_sketch_mass, total);
-  EXPECT_EQ(TableMass(result.merged_table), total);
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), total);
 
   const ConservationView view = ReadConservation(&registry, "scaleout");
   EXPECT_TRUE(view.Holds());
@@ -334,7 +328,7 @@ TEST(Scaleout, WritersNotStalledByMissingCollector) {
   EXPECT_EQ(result.rotations, 0u);
   ASSERT_EQ(result.epochs.size(), 1u);  // the final sweep only
   EXPECT_EQ(result.total_sketch_mass, TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), TraceWeight(trace));
 }
 
 // ---- Work stealing --------------------------------------------------------
@@ -378,7 +372,7 @@ TEST(Scaleout, StealingDrainsAdversariallySkewedFill) {
   EXPECT_EQ(result.packets_processed, trace.size());
   EXPECT_TRUE(result.single_writer_ok);
   EXPECT_EQ(result.total_sketch_mass, TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), TraceWeight(trace));
 
   // Per-queue balance is intentionally broken by re-steering (shard 0's
   // offered mass was partly applied elsewhere); only the global sum holds.
@@ -452,7 +446,7 @@ TEST(Scaleout, KilledWorkerRestoresEveryOwnedShard) {
             2 * (config.checkpoint_interval + 2 * config.drain_batch));
   EXPECT_EQ(result.total_sketch_mass + result.packets_lost_estimate,
             TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table) + result.packets_lost_estimate,
+  EXPECT_EQ(metrics::TotalMass(result.merged_table) + result.packets_lost_estimate,
             TraceWeight(trace));
   for (const EpochRecord& rec : result.epochs) {
     EXPECT_EQ(rec.sketch_mass, rec.applied_weight) << "epoch " << rec.epoch;
@@ -477,7 +471,7 @@ TEST(Sharded, MergedMassEqualsStreamMass) {
   config.num_workers = std::min<size_t>(TestThreads(), 4);
   const ScaleoutResult result = RunScaleout(config, trace);
   EXPECT_EQ(result.total_sketch_mass, TraceWeight(trace));
-  EXPECT_EQ(TableMass(result.merged_table), TraceWeight(trace));
+  EXPECT_EQ(metrics::TotalMass(result.merged_table), TraceWeight(trace));
 }
 
 TEST(Sharded, FlowAffinityRoutingIsStable) {
