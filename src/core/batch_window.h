@@ -5,27 +5,25 @@
 // are deduped here as a driver the sketches befriend. Per window of
 // Sketch::kBatchWindow records:
 //
-//   phase 1 — derive every mapped slot (the AVX2 tier hashes four keys per
-//             step, see simd/hash_avx2.h; other tiers call MultiHash::Slots
-//             per record), convert to absolute bucket indices, and issue
-//             software prefetches for both halves of each bucket (counter
-//             line + key-word line of the SoA layout);
+//   phase 1 — derive every mapped slot (MultiHash::Slots per record),
+//             convert to absolute bucket indices, and issue software
+//             prefetches for both halves of each bucket (counter line +
+//             key-word line of the SoA layout);
 //   phase 2 — run the sketch's exact scalar update rule in stream order
 //             against now-resident lines.
 //
+// Phase 2 runs one update-rule instantiation per compile-time d and has no
+// SIMD tier: the rule is scalar for every key width.
+//
 // Hashing has no side effects and phase 2 preserves stream order, so the
 // resulting state — including RNG consumption order — is byte-identical to
-// per-packet Update() calls on every tier (tests/batch_test.cpp,
-// tests/simd_test.cpp).
+// per-packet Update() calls (tests/batch_test.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "hash/multihash.h"
 #include "simd/dispatch.h"
-#include "simd/hash_avx2.h"
-#include "simd/ops.h"
 
 namespace coco::core::detail {
 
@@ -51,28 +49,17 @@ struct BatchDriver {
       for (const auto* p = next; p < next_end; p += 64) {
         __builtin_prefetch(p, 0, 3);
       }
-      HashWindow(sk.hash_, sk.tier_, records + base, n, slots);
+      const Record* recs = records + base;
+      for (size_t j = 0; j < n; ++j) {
+        sk.hash_.Slots(recs[j].key.data(), recs[j].key.size(), slots[j]);
+      }
       for (size_t j = 0; j < n; ++j) {
         for (size_t i = 0; i < d; ++i) {
           idx[j][i] = i * l + slots[j][i];
           sk.buckets_.Prefetch(idx[j][i]);
         }
       }
-      // One tier branch per WINDOW, not per packet: each apply function
-      // instantiates the sketch's update rule against its tier's kernel
-      // policy, so kernels inline into the stream-order loop. An outlined
-      // AVX2 call per packet was measured ~25% slower than scalar.
-      switch (sk.tier_) {
-        case simd::Tier::kAvx2:
-          ApplyWindowAvx2(sk, records + base, n, idx);
-          break;
-        case simd::Tier::kSse2:
-          ApplyWindow<simd::Sse2Ops>(sk, records + base, n, idx);
-          break;
-        case simd::Tier::kScalar:
-          ApplyWindow<simd::ScalarOps>(sk, records + base, n, idx);
-          break;
-      }
+      ApplyWindow(sk, recs, n, idx);
     }
   }
 
@@ -80,51 +67,18 @@ struct BatchDriver {
   // dedicated instantiation: with d a compile-time constant the probe and
   // min-scan loops in the update rule unroll to straight-line code. All
   // other depths share the runtime-d instantiation (kD = 0).
-  template <typename Ops, typename Record, typename Sketch>
-  static void ApplyWindow(Sketch& sk, const Record* recs, size_t n,
-                          const size_t (*idx)[Sketch::kMaxD]) {
-    if (sk.d_ == 2) {
-      for (size_t j = 0; j < n; ++j) {
-        sk.template UpdateAtOps<Ops, 2>(idx[j], recs[j].key, recs[j].weight);
-      }
-      return;
-    }
-    for (size_t j = 0; j < n; ++j) {
-      sk.template UpdateAtOps<Ops>(idx[j], recs[j].key, recs[j].weight);
-    }
-  }
-
   template <typename Record, typename Sketch>
-  COCO_TARGET_AVX2 static void ApplyWindowAvx2(
+  COCO_FORCE_INLINE static void ApplyWindow(
       Sketch& sk, const Record* recs, size_t n,
       const size_t (*idx)[Sketch::kMaxD]) {
     if (sk.d_ == 2) {
       for (size_t j = 0; j < n; ++j) {
-        sk.template UpdateAtOps<simd::Avx2Ops, 2>(idx[j], recs[j].key,
-                                                  recs[j].weight);
+        sk.template UpdateRule<2>(idx[j], recs[j].key, recs[j].weight);
       }
       return;
     }
     for (size_t j = 0; j < n; ++j) {
-      sk.template UpdateAtOps<simd::Avx2Ops>(idx[j], recs[j].key,
-                                             recs[j].weight);
-    }
-  }
-
-  template <typename Record, size_t kMaxD>
-  static void HashWindow(const hash::MultiHash& hash, simd::Tier tier,
-                         const Record* recs, size_t n,
-                         uint32_t (*slots)[kMaxD]) {
-#if COCO_SIMD_HAVE_AVX2
-    if (tier == simd::Tier::kAvx2) {
-      simd::avx2::HashSlotsWindow(hash, recs, n, slots);
-      return;
-    }
-#else
-    (void)tier;
-#endif
-    for (size_t j = 0; j < n; ++j) {
-      hash.Slots(recs[j].key.data(), recs[j].key.size(), slots[j]);
+      sk.template UpdateRule<0>(idx[j], recs[j].key, recs[j].weight);
     }
   }
 };

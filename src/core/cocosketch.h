@@ -13,12 +13,12 @@
 // with bounded variance (§5). Unbiasedness over arbitrary partial keys is
 // property-tested in tests/cocosketch_test.cpp.
 //
-// Storage is the word-addressable SoA layout of core/bucket_array.h; the
-// hot paths run on the SIMD tier captured at construction (simd/dispatch.h):
-// pass 1's d-way key probe, the batched hash window, and every control-plane
-// scan use the tier's kernels, while all RNG-consuming control flow (pass 2,
-// replacement draws) stays scalar and stream-ordered — so sketch state,
-// including RNG consumption order, is byte-identical on every tier
+// Storage is the word-addressable SoA layout of core/bucket_array.h. The
+// update rule is scalar on every host: keys of <= 16 bytes probe with the
+// register compare, wider keys with the padded word compare. The SIMD tier
+// captured at construction (simd/dispatch.h) only picks the kernels of the
+// control-plane scans (decode, merge, stats), so sketch state, including
+// RNG consumption order, is byte-identical on every tier
 // (tests/simd_test.cpp).
 #pragma once
 
@@ -80,11 +80,13 @@ class CocoSketch {
   }
 
   void Update(const Key& key, uint32_t weight) {
+    // d_ >= 1 (checked at construction): idx[0] is always written.
+    if (d_ == 0) __builtin_unreachable();
     uint32_t slot[kMaxD];
     hash_.Slots(key.data(), key.size(), slot);
     size_t idx[kMaxD];
     for (size_t i = 0; i < d_; ++i) idx[i] = i * l_ + slot[i];
-    UpdateAt(idx, key, weight);
+    UpdateRule(idx, key, weight);
   }
 
   // Batched fast path: processes records (anything with `.key` convertible
@@ -111,26 +113,24 @@ class CocoSketch {
     size_t idx[kMaxD];
     for (size_t i = 0; i < d_; ++i) idx[i] = i * l_ + slot[i];
     const PaddedKey<Key> probe(key);
-    const int match = simd::FindMatch<kKeyWords>(
-        tier_, buckets_.key_words(), buckets_.values(), idx, d_, probe.words);
+    const int match = simd::scalar::FindMatch<kKeyWords>(
+        buckets_.key_words(), buckets_.values(), idx, d_, probe.words);
     return match < 0 ? 0 : buckets_.Value(idx[match]);
   }
 
   // Step 3 of the workflow (Fig. 1): the (FullKey, Size) table of all
   // recorded flows, input to the partial-key query front-end. The occupied
-  // buckets are enumerated with the tier's find-next-occupied scan, so empty
-  // runs cost a vector compare instead of a branch per bucket, and each
-  // bucket's padded key words go straight into the table (hashed as words,
-  // copied once). A key held in several buckets (after a merge) is summed.
+  // buckets are enumerated with the tier's occupied-offset scan (no branch
+  // per empty bucket), and each bucket's padded key words go straight into
+  // the table (hashed as words, copied once). A key held in several buckets
+  // (after a merge) is summed.
   FlowTable<Key> Decode() const {
     FlowTable<Key> out;
     out.reserve(buckets_.size());
     const uint32_t* values = buckets_.values();
-    const size_t n = buckets_.size();
-    for (size_t i = simd::FindNextNonZero(tier_, values, n, 0); i < n;
-         i = simd::FindNextNonZero(tier_, values, n, i + 1)) {
+    simd::ForEachNonZero(tier_, values, buckets_.size(), [&](size_t i) {
       out.AddWords(buckets_.KeyWords(i), values[i]);
-    }
+    });
     return out;
   }
 
@@ -147,10 +147,10 @@ class CocoSketch {
   size_t l() const { return l_; }
   uint64_t seed() const { return seed_; }
 
-  // The SIMD tier this instance runs on. Captured from the process default
-  // at construction; override (clamped to what the CPU supports) to compare
-  // tiers on one host. Switching tiers never changes sketch state — only
-  // how fast the same state is computed.
+  // The SIMD tier this instance's control-plane scans run on.
+  // Captured from the process default at construction; override (clamped to
+  // what the CPU supports) to compare tiers on one host. Switching tiers
+  // never changes sketch state — only how fast the same state is computed.
   simd::Tier SimdTier() const { return tier_; }
   void SetSimdTier(simd::Tier t) { tier_ = simd::ClampTier(t); }
 
@@ -234,56 +234,31 @@ class CocoSketch {
 
   // The scalar update rule of §4.1, operating on precomputed absolute
   // bucket indices (array i's slot offset by i*l). Shared verbatim by
-  // Update() and UpdateBatch() so the two paths cannot drift: both route
-  // through the policy template below, dispatching the tier once (per
-  // packet here, per window in the batch driver). Pass 1 is the tier's
-  // d-way probe kernel; pass 2 consumes RNG draws and stays scalar so
-  // every tier consumes them in the same order.
-  void UpdateAt(const size_t* idx, const Key& key, uint32_t weight) {
-    switch (tier_) {
-      case simd::Tier::kAvx2:
-        UpdateAtAvx2(idx, key, weight);
-        break;
-      case simd::Tier::kSse2:
-        UpdateAtOps<simd::Sse2Ops>(idx, key, weight);
-        break;
-      case simd::Tier::kScalar:
-        UpdateAtOps<simd::ScalarOps>(idx, key, weight);
-        break;
-    }
-  }
-
-  // Target-attributed trampoline: AVX2 kernels can only inline into a
-  // caller that itself carries the target attribute.
-  COCO_TARGET_AVX2 void UpdateAtAvx2(const size_t* idx, const Key& key,
-                                     uint32_t weight) {
-    UpdateAtOps<simd::Avx2Ops>(idx, key, weight);
-  }
-
-  // Pass 1 probes with the policy's key representation: keys of <= 16 bytes
-  // ride the register probe (no stack round-trip — see simd/ops_scalar.h on
-  // the store-to-load-forwarding stall that avoids), wider keys the padded
-  // word array. Both produce the exact stored byte layout, so the resulting
-  // state is identical either way.
+  // Update() and UpdateBatch() so the two paths cannot drift.
+  //
+  // Pass 1 probes keys of <= 16 bytes with the register probe (no stack
+  // round-trip — see simd/ops_scalar.h on the store-to-load-forwarding stall
+  // that avoids) and wider keys with the padded word array. Both produce the
+  // exact stored byte layout.
   //
   // kD: compile-time d for the batch driver's specialized instantiations
   // (0 = runtime d_). With d a constant the probe and min-scan loops unroll
   // to straight-line code — worth a few percent at the paper's d=2.
-  template <typename Ops, size_t kD = 0>
-  COCO_FORCE_INLINE void UpdateAtOps(const size_t* idx, const Key& key,
-                                     uint32_t weight) {
+  template <size_t kD = 0>
+  COCO_FORCE_INLINE void UpdateRule(const size_t* idx, const Key& key,
+                                    uint32_t weight) {
     const size_t d = kD == 0 ? d_ : kD;
     if constexpr (Key::kSize <= 16) {
-      const auto probe = Ops::template MakeProbe<Key::kSize>(key.data());
-      const int match = Ops::template FindMatchShort<Key::kSize>(
+      const auto probe = simd::scalar::MakeShortProbe<Key::kSize>(key.data());
+      const int match = simd::scalar::FindMatchShort<Key::kSize>(
           buckets_.key_words(), buckets_.values(), idx, d, probe);
       ApplyRule(idx, d, weight, match, [&](size_t chosen) {
-        Ops::template StoreKey<Key::kSize>(buckets_.mutable_key_words(),
-                                           chosen, probe);
+        simd::scalar::StoreShortKey<Key::kSize>(buckets_.mutable_key_words(),
+                                                chosen, probe);
       });
     } else {
       const PaddedKey<Key> probe(key);
-      const int match = Ops::template FindMatch<kKeyWords>(
+      const int match = simd::scalar::FindMatch<kKeyWords>(
           buckets_.key_words(), buckets_.values(), idx, d, probe.words);
       ApplyRule(idx, d, weight, match, [&](size_t chosen) {
         buckets_.SetKeyWords(chosen, probe.words);

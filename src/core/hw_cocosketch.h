@@ -17,11 +17,13 @@
 //   kApproximate — Tofino math-unit top-4-bit reciprocal (P4 variant, §6.2).
 //
 // Storage and SIMD tiering mirror CocoSketch: word-addressable SoA buckets
-// (core/bucket_array.h), the d-way key-equality mask computed by the tier's
-// kernel, RNG-consuming replacement draws scalar and array-ordered — state
-// is byte-identical on every tier. The per-array mask is safe to precompute
-// before the increments because array i only ever writes bucket range
-// [i*l, (i+1)*l): no array's key write can affect another array's compare.
+// (core/bucket_array.h), a scalar update rule (the d-way key-equality mask
+// from the register compare for keys of <= 16 bytes, the padded word compare
+// for wider keys; RNG-consuming replacement draws array-ordered), and the
+// tier only on the control-plane scans — state is byte-identical on every
+// tier. The per-array mask is safe to precompute before the increments
+// because array i only ever writes bucket range [i*l, (i+1)*l): no array's
+// key write can affect another array's compare.
 #pragma once
 
 #include <algorithm>
@@ -84,7 +86,7 @@ class HwCocoSketch {
     hash_.Slots(key.data(), key.size(), slot);
     size_t idx[kMaxD];
     for (size_t i = 0; i < d_; ++i) idx[i] = i * l_ + slot[i];
-    UpdateAt(idx, key, weight);
+    UpdateRule(idx, key, weight);
   }
 
   // Batched fast path through the shared hash+prefetch window pipeline
@@ -152,12 +154,10 @@ class HwCocoSketch {
   FlowTable<Key> Decode() const {
     FlowTable<Key> recorded;  // dedupe first, score below
     recorded.reserve(buckets_.size());
-    const uint32_t* values = buckets_.values();
-    const size_t n = buckets_.size();
-    for (size_t i = simd::FindNextNonZero(tier_, values, n, 0); i < n;
-         i = simd::FindNextNonZero(tier_, values, n, i + 1)) {
-      recorded.AddWords(buckets_.KeyWords(i), 0);
-    }
+    simd::ForEachNonZero(tier_, buckets_.values(), buckets_.size(),
+                         [&](size_t i) {
+                           recorded.AddWords(buckets_.KeyWords(i), 0);
+                         });
     // Median-of-zeros can score a recorded key at 0; drop those — they are
     // indistinguishable from unrecorded flows.
     FlowTable<Key> out;
@@ -260,52 +260,28 @@ class HwCocoSketch {
   }
 
   // The §4.2 per-array rule on precomputed absolute bucket indices; shared
-  // by Update and UpdateBatch so the two paths cannot drift — both route
-  // through the policy template, dispatching the tier once (per packet
-  // here, per window in the batch driver). The d key compares happen in one
-  // tier-kernel call up front (arrays write disjoint bucket ranges, so no
-  // increment or key write below can invalidate the mask); the RNG draws
-  // stay scalar and array-ordered on every tier.
-  void UpdateAt(const size_t* idx, const Key& key, uint32_t weight) {
-    switch (tier_) {
-      case simd::Tier::kAvx2:
-        UpdateAtAvx2(idx, key, weight);
-        break;
-      case simd::Tier::kSse2:
-        UpdateAtOps<simd::Sse2Ops>(idx, key, weight);
-        break;
-      case simd::Tier::kScalar:
-        UpdateAtOps<simd::ScalarOps>(idx, key, weight);
-        break;
-    }
-  }
-
-  // Target-attributed trampoline so the AVX2 kernels can inline.
-  COCO_TARGET_AVX2 void UpdateAtAvx2(const size_t* idx, const Key& key,
-                                     uint32_t weight) {
-    UpdateAtOps<simd::Avx2Ops>(idx, key, weight);
-  }
-
-  // Like CocoSketch::UpdateAtOps, the probe representation splits on key
+  // by Update and UpdateBatch so the two paths cannot drift. The d key
+  // compares happen in one call up front (arrays write disjoint bucket
+  // ranges, so no increment or key write below can invalidate the mask).
+  // Like CocoSketch::UpdateRule, the probe representation splits on key
   // width: <= 16 bytes rides the register probe, wider keys the padded word
-  // array. Both produce the exact stored byte layout. kD mirrors
-  // CocoSketch::UpdateAtOps: compile-time d from the batch driver's
-  // specialized instantiations, 0 = runtime d_.
-  template <typename Ops, size_t kD = 0>
-  COCO_FORCE_INLINE void UpdateAtOps(const size_t* idx, const Key& key,
-                                     uint32_t weight) {
+  // array; both produce the exact stored byte layout. kD: compile-time d
+  // from the batch driver's specialized instantiations, 0 = runtime d_.
+  template <size_t kD = 0>
+  COCO_FORCE_INLINE void UpdateRule(const size_t* idx, const Key& key,
+                                    uint32_t weight) {
     const size_t d = kD == 0 ? d_ : kD;
     if constexpr (Key::kSize <= 16) {
-      const auto probe = Ops::template MakeProbe<Key::kSize>(key.data());
-      const uint32_t eq = Ops::template KeyEqMaskShort<Key::kSize>(
+      const auto probe = simd::scalar::MakeShortProbe<Key::kSize>(key.data());
+      const uint32_t eq = simd::scalar::KeyEqMaskShort<Key::kSize>(
           buckets_.key_words(), idx, d, probe);
       ApplyRule(idx, d, weight, eq, [&](size_t chosen) {
-        Ops::template StoreKey<Key::kSize>(buckets_.mutable_key_words(),
-                                           chosen, probe);
+        simd::scalar::StoreShortKey<Key::kSize>(buckets_.mutable_key_words(),
+                                                chosen, probe);
       });
     } else {
       const PaddedKey<Key> probe(key);
-      const uint32_t eq = Ops::template KeyEqMask<kKeyWords>(
+      const uint32_t eq = simd::scalar::KeyEqMask<kKeyWords>(
           buckets_.key_words(), idx, d, probe.words);
       ApplyRule(idx, d, weight, eq, [&](size_t chosen) {
         buckets_.SetKeyWords(chosen, probe.words);

@@ -97,17 +97,13 @@ MergeStats MergeBucketArrays(Sketch* dst, const Sketch& src, Rng* rng) {
   }
   auto& dst_buckets = dst->MutableBuckets();
   const auto& src_buckets = src.Buckets();
-  // Empty source slots consume no RNG draw, so skipping them with the
-  // tier's find-next-occupied scan merges a sparse shard in time
-  // proportional to its occupancy while drawing the exact same RNG
-  // sequence as a full walk.
-  const uint32_t* src_values = src_buckets.values();
-  const size_t n = src_buckets.size();
-  const simd::Tier tier = dst->SimdTier();
-  for (size_t i = simd::FindNextNonZero(tier, src_values, n, 0); i < n;
-       i = simd::FindNextNonZero(tier, src_values, n, i + 1)) {
-    MergeSlot(&dst_buckets, src_buckets, i, rng, &stats);
-  }
+  // Empty source slots consume no RNG draw, so visiting only the occupied
+  // ones (the tier's occupied-offset scan) merges the exact same RNG
+  // sequence as a full walk, without a branch per empty slot.
+  simd::ForEachNonZero(dst->SimdTier(), src_buckets.values(),
+                       src_buckets.size(), [&](size_t i) {
+                         MergeSlot(&dst_buckets, src_buckets, i, rng, &stats);
+                       });
   dst->MarkAllDirty();
   stats.ok = true;
   return stats;

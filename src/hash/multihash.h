@@ -20,6 +20,11 @@
 // distribution quality of this derivation (per-array uniformity, joint
 // spread across arrays) is property-tested in tests/hash_test.cpp, and the
 // CocoSketch accuracy suite runs entirely on top of it.
+//
+// Slots() is the one slot derivation on every SIMD tier: the batch window
+// (core/batch_window.h) calls it once per record. The chain is a handful of
+// dependent multiplies, cheaper than the bucket misses it precedes, so a
+// lane-parallel copy of it does not pay.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +73,6 @@ class MultiHash {
   size_t d() const { return d_; }
   size_t width() const { return width_; }
   uint64_t seed() const { return seed_; }
-  // Precomputed per-array salts (d() entries). Exposed so vectorized slot
-  // kernels (simd/hash_avx2.h) can replicate Slots() bit-for-bit.
-  const uint64_t* salts() const { return salt_; }
 
  private:
   // Flow keys are at most 16 bytes (5-tuple: 13; DynKey payloads: <= 16),

@@ -515,9 +515,13 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
       }
     };
 
-    // Checkpoint, attack window and injected faults, at a batch boundary of
-    // shard `s` (deterministic in applied packets, not wall time). Returns
-    // true when this worker must die.
+    // Checkpoint and attack window of shard `s` (deterministic in applied
+    // packets, not wall time), then injected faults, at a batch boundary.
+    // The fault clock of each owned shard is its ring's consumer cursor:
+    // every record popped from the ring counts, stolen ones included. A
+    // shard's own `applied` cannot serve, because thieves apply what they
+    // steal into their home shard and it can end the trace below a
+    // trigger. Returns true when this worker must die.
     const auto after_batch = [&](size_t s) -> bool {
       ShardState& st = state[s];
       if (checkpointing &&
@@ -529,10 +533,14 @@ ScaleoutResult RunScaleout(const ScaleoutConfig& config,
         observe_attack_window(s);
       }
       if (!have_faults) return false;
-      if (const uint32_t ms = injector.StallMs(s, st.applied)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      for (const size_t f : owned) {
+        const uint64_t popped = rings[f]->Popped();
+        if (const uint32_t ms = injector.StallMs(f, popped)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+        }
+        if (injector.ShouldKill(f, popped)) return true;
       }
-      return injector.ShouldKill(s, st.applied);
+      return false;
     };
 
     // Apply the first `n` records of `batch` to shard `s`'s active sketch,

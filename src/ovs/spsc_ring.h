@@ -88,6 +88,10 @@ class SpscRing {
     return n > slots_.size() ? slots_.size() : n;
   }
 
+  // Records popped so far by every consumer that has held the ring (the
+  // consumer cursor). Readable from any thread.
+  uint64_t Popped() const { return tail_.load(std::memory_order_acquire); }
+
   // Consumer side, batched: pops up to `max` elements into `out`, returning
   // the number popped (0 when empty). One acquire load and one release store
   // amortized over the whole batch — the per-element atomic traffic of

@@ -1,19 +1,19 @@
-// Runtime SIMD tier selection for the sketch hot paths.
+// Runtime SIMD tier selection for the sketches' control-plane scans.
 //
-// Three tiers — AVX2, SSE2, scalar — implement the same kernel contracts
-// (simd/ops.h) with bit-identical results; the tier only changes how fast
-// the answer is computed, never the answer. Selection order:
+// Two tiers — AVX2 and scalar — implement the kernel contracts of
+// simd/ops_scalar.h with bit-identical results; the tier only changes how
+// fast the answer is computed, never the answer. Selection order:
 //
-//   1. Compile-time ceiling: the COCO_SIMD CMake knob can compile out the
-//      vector tiers entirely (scalar) or cap at SSE2 (portable CI artifacts
-//      never need -march=native — AVX2 code is emitted via per-function
-//      target attributes and only executed after a CPUID check).
-//   2. Runtime detection: __builtin_cpu_supports caps the tier at what the
-//      host actually executes. SSE2 is architectural on x86-64.
-//   3. COCO_SIMD environment override: "scalar" | "sse2" | "avx2", clamped
-//      to the detected ceiling so requesting avx2 on an SSE2-only box
-//      degrades instead of faulting. This keeps every tier testable on any
-//      machine (the byte-identical-state matrix in tests/simd_test.cpp).
+//   1. Detection: on x86 GCC/Clang builds, __builtin_cpu_supports("avx2")
+//      picks the AVX2 tier. AVX2 code is emitted through per-function
+//      target("avx2") attributes and only executed after that check, so the
+//      default build carries no -march flags and runs on any x86-64. Other
+//      architectures always run scalar.
+//   2. COCO_SIMD environment override: "scalar" | "avx2", clamped to the
+//      detected tier so requesting avx2 on a host without it degrades
+//      instead of faulting; unknown names fall back to detection. This
+//      keeps the scalar tier testable on any machine (the byte-identical
+//      state matrix in tests/simd_test.cpp, CI's scalar legs).
 //
 // Sketches capture ActiveTier() at construction (override per instance via
 // SetSimdTier), so a running sketch never observes a tier change mid-stream.
@@ -22,18 +22,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
-// COCO_SIMD_X86: the vector tiers are compiled in at all.
+// COCO_SIMD_HAVE_AVX2: the AVX2 tier is compiled in.
 #if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(COCO_SIMD_FORCE_SCALAR)
-#define COCO_SIMD_X86 1
-#else
-#define COCO_SIMD_X86 0
-#endif
-
-// COCO_SIMD_HAVE_AVX2: the AVX2 tier is compiled in (CMake can cap at SSE2).
-#if COCO_SIMD_X86 && !defined(COCO_SIMD_NO_AVX2)
+    (defined(__GNUC__) || defined(__clang__))
 #define COCO_SIMD_HAVE_AVX2 1
 #else
 #define COCO_SIMD_HAVE_AVX2 0
@@ -47,11 +40,9 @@
 #define COCO_TARGET_AVX2
 #endif
 
-// Forces a baseline-ISA helper to inline into tier-attributed callers. GCC's
-// inliner otherwise leaves the sketches' per-packet update rule outlined
-// inside the per-window apply loop (the rule's kernel-policy call is
-// uninlinable until AFTER the rule lands in an attributed caller, and the
-// inliner doesn't revisit), which costs two calls per packet on the hot path.
+// Forces a helper to inline into its caller. GCC's inliner otherwise leaves
+// the sketches' per-packet update rule outlined inside the batch driver's
+// per-window apply loop, which costs two calls per packet on the hot path.
 #if defined(__GNUC__) || defined(__clang__)
 #define COCO_FORCE_INLINE inline __attribute__((always_inline))
 #else
@@ -62,16 +53,13 @@ namespace coco::simd {
 
 enum class Tier : uint8_t {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 inline const char* TierName(Tier t) {
   switch (t) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -80,15 +68,18 @@ inline const char* TierName(Tier t) {
 
 // Best tier this build + this CPU can execute.
 inline Tier DetectTier() {
-#if COCO_SIMD_X86
 #if COCO_SIMD_HAVE_AVX2
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
 #endif
-  // SSE2 is part of the x86-64 baseline ABI; no probe needed there, and the
-  // 32-bit case still answers honestly.
-  if (__builtin_cpu_supports("sse2")) return Tier::kSse2;
-#endif
   return Tier::kScalar;
+}
+
+// Every tier this build + CPU can execute, scalar first: the list the
+// cross-tier tests and the tier table iterate.
+inline std::vector<Tier> HostTiers() {
+  std::vector<Tier> tiers{Tier::kScalar};
+  if (DetectTier() == Tier::kAvx2) tiers.push_back(Tier::kAvx2);
+  return tiers;
 }
 
 // Parses a COCO_SIMD-style tier name. Returns false on unknown input.
@@ -96,8 +87,6 @@ inline bool ParseTier(const char* s, Tier* out) {
   if (s == nullptr) return false;
   if (std::strcmp(s, "scalar") == 0) {
     *out = Tier::kScalar;
-  } else if (std::strcmp(s, "sse2") == 0) {
-    *out = Tier::kSse2;
   } else if (std::strcmp(s, "avx2") == 0) {
     *out = Tier::kAvx2;
   } else {
@@ -107,7 +96,7 @@ inline bool ParseTier(const char* s, Tier* out) {
 }
 
 // Clamp a requested tier to what this build + CPU can execute: asking for
-// avx2 on an SSE2-only box degrades instead of faulting.
+// avx2 on a host without it degrades instead of faulting.
 inline Tier ClampTier(Tier t) {
   const Tier detected = DetectTier();
   return t < detected ? t : detected;
@@ -115,12 +104,11 @@ inline Tier ClampTier(Tier t) {
 
 // Detection + COCO_SIMD env override, clamped to the detected ceiling.
 inline Tier ResolveTier() {
-  const Tier detected = DetectTier();
   Tier requested;
   if (ParseTier(std::getenv("COCO_SIMD"), &requested)) {
-    return requested < detected ? requested : detected;
+    return ClampTier(requested);
   }
-  return detected;
+  return DetectTier();
 }
 
 namespace internal {

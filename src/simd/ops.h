@@ -1,236 +1,53 @@
-// Tier-dispatched entry points for the SIMD kernel contracts.
+// Tier-dispatched entry points for the control-plane scans (stats, decode,
+// merge): the scan runs over thousands of buckets, so one predicted branch
+// up front is free and callers stay tier-agnostic.
 //
-// Control-plane scans (stats, decode, merge, serialization) go through these
-// switch-per-call wrappers: the scan runs over thousands of buckets, so one
-// predicted branch up front is free and callers stay tier-agnostic. The
-// per-packet hot paths in CocoSketch/HwCocoSketch do NOT come through here —
-// they hold their tier in a member and switch once per packet/window inline.
-//
-// When the build lacks a tier (non-x86, COCO_SIMD knob) the lower tier's
-// namespace alias in ops_sse2.h / ops_avx2.h makes every case well-formed,
-// so callers never need #if guards.
+// The per-packet update rules do not come through here: their key compares
+// are ops_scalar.h's kernels on every host. Without the AVX2 tier, avx2::
+// names the scalar kernels (ops_avx2.h), so every branch below is
+// well-formed on any build.
 #pragma once
 
 #include "simd/dispatch.h"
 #include "simd/ops_avx2.h"
 #include "simd/ops_scalar.h"
-#include "simd/ops_sse2.h"
 
 namespace coco::simd {
 
 inline uint64_t SumU32(Tier tier, const uint32_t* v, size_t n) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::SumU32(v, n);
-    case Tier::kSse2:
-      return sse2::SumU32(v, n);
-    case Tier::kScalar:
-      break;
-  }
-  return scalar::SumU32(v, n);
+  return tier == Tier::kAvx2 ? avx2::SumU32(v, n) : scalar::SumU32(v, n);
 }
 
 inline size_t CountNonZero(Tier tier, const uint32_t* v, size_t n) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::CountNonZero(v, n);
-    case Tier::kSse2:
-      return sse2::CountNonZero(v, n);
-    case Tier::kScalar:
-      break;
-  }
-  return scalar::CountNonZero(v, n);
+  return tier == Tier::kAvx2 ? avx2::CountNonZero(v, n)
+                             : scalar::CountNonZero(v, n);
 }
 
-inline size_t FindNextNonZero(Tier tier, const uint32_t* v, size_t n,
-                              size_t from) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::FindNextNonZero(v, n, from);
-    case Tier::kSse2:
-      return sse2::FindNextNonZero(v, n, from);
-    case Tier::kScalar:
-      break;
+// Calls fn(i) for every i in [0, n) with v[i] != 0, in ascending order: the
+// occupied-bucket walk behind Decode and MergeAll. The kernel packs one
+// chunk's occupied offsets into a stack buffer per call, so a full array
+// costs one kernel call per chunk, not one per occupied bucket, and empty
+// runs are skipped without a branch per counter.
+template <typename Fn>
+inline void ForEachNonZero(Tier tier, const uint32_t* v, size_t n, Fn&& fn) {
+  constexpr size_t kChunk = 256;
+  uint32_t offsets[kChunk];
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t m = n - base < kChunk ? n - base : kChunk;
+    const size_t count = tier == Tier::kAvx2
+                             ? avx2::NonZeroOffsets(v + base, m, offsets)
+                             : scalar::NonZeroOffsets(v + base, m, offsets);
+    for (size_t j = 0; j < count; ++j) fn(base + offsets[j]);
   }
-  return scalar::FindNextNonZero(v, n, from);
 }
 
 inline uint32_t MaxU32(Tier tier, const uint32_t* v, size_t n) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::MaxU32(v, n);
-    case Tier::kSse2:
-      return sse2::MaxU32(v, n);
-    case Tier::kScalar:
-      break;
-  }
-  return scalar::MaxU32(v, n);
+  return tier == Tier::kAvx2 ? avx2::MaxU32(v, n) : scalar::MaxU32(v, n);
 }
 
 inline uint32_t MinNonZeroU32(Tier tier, const uint32_t* v, size_t n) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::MinNonZeroU32(v, n);
-    case Tier::kSse2:
-      return sse2::MinNonZeroU32(v, n);
-    case Tier::kScalar:
-      break;
-  }
-  return scalar::MinNonZeroU32(v, n);
+  return tier == Tier::kAvx2 ? avx2::MinNonZeroU32(v, n)
+                             : scalar::MinNonZeroU32(v, n);
 }
-
-template <size_t W>
-inline int FindMatch(Tier tier, const uint64_t* keys, const uint32_t* values,
-                     const size_t* idx, size_t d, const uint64_t* probe) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::FindMatch<W>(keys, values, idx, d, probe);
-    case Tier::kSse2:
-      return sse2::FindMatch<W>(keys, values, idx, d, probe);
-    case Tier::kScalar:
-      break;
-  }
-  return scalar::FindMatch<W>(keys, values, idx, d, probe);
-}
-
-template <size_t W>
-inline uint32_t KeyEqMask(Tier tier, const uint64_t* keys, const size_t* idx,
-                          size_t d, const uint64_t* probe) {
-  switch (tier) {
-    case Tier::kAvx2:
-      return avx2::KeyEqMask<W>(keys, idx, d, probe);
-    case Tier::kSse2:
-      return sse2::KeyEqMask<W>(keys, idx, d, probe);
-    case Tier::kScalar:
-      break;
-  }
-  return scalar::KeyEqMask<W>(keys, idx, d, probe);
-}
-
-// ---- Hot-path kernel policies ---------------------------------------------
-//
-// The per-packet update rule cannot afford an outlined call (or a switch)
-// per packet: an AVX2 target-attributed function called once per packet
-// costs more in call overhead and vzeroupper transitions than the vector
-// compare saves (measured ~25% on the batched path). Instead the sketches
-// template their update rule on one of these policies and the batch driver
-// (core/batch_window.h) selects the instantiation ONCE per window inside a
-// tier-attributed apply function — everything below it, kernels included,
-// inlines into straight-line code.
-// Each policy also exposes the register-probe ("Short") key API for keys of
-// <= 16 bytes: MakeProbe assembles the padded key words straight into
-// registers (see ops_scalar.h on the store-to-load-forwarding stall this
-// dodges), and FindMatchShort / KeyEqMaskShort / StoreKey consume that
-// representation. Wider keys keep the PaddedKey pointer API above.
-struct ScalarOps {
-  template <size_t W>
-  static int FindMatch(const uint64_t* keys, const uint32_t* values,
-                       const size_t* idx, size_t d, const uint64_t* probe) {
-    return scalar::FindMatch<W>(keys, values, idx, d, probe);
-  }
-  template <size_t W>
-  static uint32_t KeyEqMask(const uint64_t* keys, const size_t* idx, size_t d,
-                            const uint64_t* probe) {
-    return scalar::KeyEqMask<W>(keys, idx, d, probe);
-  }
-  template <size_t kSize>
-  static scalar::ShortProbe<kSize> MakeProbe(const uint8_t* key) {
-    return scalar::MakeShortProbe<kSize>(key);
-  }
-  template <size_t kSize>
-  static int FindMatchShort(const uint64_t* keys, const uint32_t* values,
-                            const size_t* idx, size_t d,
-                            const scalar::ShortProbe<kSize>& p) {
-    return scalar::FindMatchShort<kSize>(keys, values, idx, d, p);
-  }
-  template <size_t kSize>
-  static uint32_t KeyEqMaskShort(const uint64_t* keys, const size_t* idx,
-                                 size_t d,
-                                 const scalar::ShortProbe<kSize>& p) {
-    return scalar::KeyEqMaskShort<kSize>(keys, idx, d, p);
-  }
-  template <size_t kSize>
-  static void StoreKey(uint64_t* keys, size_t bucket,
-                       const scalar::ShortProbe<kSize>& p) {
-    scalar::StoreShortKey<kSize>(keys, bucket, p);
-  }
-};
-
-struct Sse2Ops {
-  template <size_t W>
-  static int FindMatch(const uint64_t* keys, const uint32_t* values,
-                       const size_t* idx, size_t d, const uint64_t* probe) {
-    return sse2::FindMatch<W>(keys, values, idx, d, probe);
-  }
-  template <size_t W>
-  static uint32_t KeyEqMask(const uint64_t* keys, const size_t* idx, size_t d,
-                            const uint64_t* probe) {
-    return sse2::KeyEqMask<W>(keys, idx, d, probe);
-  }
-  // The short-probe API delegates to the scalar (general-purpose-register)
-  // probe, same as Avx2Ops below: for <= 16-byte keys two GPR compares beat
-  // the xmm probe's movemask + flags round-trip in same-process measurement
-  // (the xmm kernels in ops_sse2.h remain as contract references and for
-  // the wide-key compares above, where vectors do win).
-  template <size_t kSize>
-  static auto MakeProbe(const uint8_t* key) {
-    return scalar::MakeShortProbe<kSize>(key);
-  }
-  template <size_t kSize, typename Probe>
-  static int FindMatchShort(const uint64_t* keys, const uint32_t* values,
-                            const size_t* idx, size_t d, const Probe& p) {
-    return scalar::FindMatchShort<kSize>(keys, values, idx, d, p);
-  }
-  template <size_t kSize, typename Probe>
-  static uint32_t KeyEqMaskShort(const uint64_t* keys, const size_t* idx,
-                                 size_t d, const Probe& p) {
-    return scalar::KeyEqMaskShort<kSize>(keys, idx, d, p);
-  }
-  template <size_t kSize, typename Probe>
-  static void StoreKey(uint64_t* keys, size_t bucket, const Probe& p) {
-    scalar::StoreShortKey<kSize>(keys, bucket, p);
-  }
-};
-
-// Callers must reach this policy only from inside a COCO_TARGET_AVX2
-// function (after a tier check); the attributed kernels then inline.
-// The short-probe API deliberately reuses the SCALAR policy: for <=16-byte
-// keys two general-purpose-register compares beat both the paired-ymm probe
-// (see ops_avx2.h) and the xmm probe (movemask + flags round-trip) in
-// same-process measurement, and baseline members inline fine into
-// attributed callers.
-struct Avx2Ops {
-  template <size_t W>
-  COCO_TARGET_AVX2 static int FindMatch(const uint64_t* keys,
-                                        const uint32_t* values,
-                                        const size_t* idx, size_t d,
-                                        const uint64_t* probe) {
-    return avx2::FindMatch<W>(keys, values, idx, d, probe);
-  }
-  template <size_t W>
-  COCO_TARGET_AVX2 static uint32_t KeyEqMask(const uint64_t* keys,
-                                             const size_t* idx, size_t d,
-                                             const uint64_t* probe) {
-    return avx2::KeyEqMask<W>(keys, idx, d, probe);
-  }
-  template <size_t kSize>
-  static auto MakeProbe(const uint8_t* key) {
-    return ScalarOps::MakeProbe<kSize>(key);
-  }
-  template <size_t kSize, typename Probe>
-  static int FindMatchShort(const uint64_t* keys, const uint32_t* values,
-                            const size_t* idx, size_t d, const Probe& p) {
-    return ScalarOps::FindMatchShort<kSize>(keys, values, idx, d, p);
-  }
-  template <size_t kSize, typename Probe>
-  static uint32_t KeyEqMaskShort(const uint64_t* keys, const size_t* idx,
-                                 size_t d, const Probe& p) {
-    return ScalarOps::KeyEqMaskShort<kSize>(keys, idx, d, p);
-  }
-  template <size_t kSize, typename Probe>
-  static void StoreKey(uint64_t* keys, size_t bucket, const Probe& p) {
-    ScalarOps::StoreKey<kSize>(keys, bucket, p);
-  }
-};
 
 }  // namespace coco::simd

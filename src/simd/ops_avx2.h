@@ -4,15 +4,14 @@
 // global -mavx2 / -march=native flag is needed and the binary stays portable;
 // callers must only reach these after simd::DetectTier() reports kAvx2.
 //
-// The payoff cases:
-//   * wide keys (V6Tuple, 40-byte slots): 32 bytes per compare step.
-//   * counter scans (sum / occupancy / find-next-occupied): 8 lanes per step.
-//   * the 4-wide hash window (simd/hash_avx2.h) that rides this tier.
-// Keys of <= 16 bytes deliberately route to the SSE2 compare: pairing two
-// bucket rows into one 256-bit compare was measured SLOWER than two early-
-// exiting 128-bit compares (the gather of two scattered rows plus the
-// cross-lane movemask outweighs the saved compare, and the early exit skips
-// the second row's cache line on roughly half of all matches).
+// Only the kernels that measure faster than scalar live here (the layer
+// table in bench/bench_micro_update.cpp decides): the counter scans, 8
+// counters per step — NonZeroOffsets, the occupied-bucket walk behind
+// Decode and MergeAll, and the stats scans SumU32, CountNonZero, MaxU32 and
+// MinNonZeroU32. The update rule's key compares have no vector kernel: the
+// register probe (ops_scalar.h) beat every vector probe tried for keys of
+// <= 16 bytes, and a 32-byte-step compare for wider keys measured within
+// the run-to-run spread of scalar.
 //
 // Everything is exact integer arithmetic — results are bit-identical to the
 // scalar tier, which tests/simd_test.cpp enforces.
@@ -20,69 +19,11 @@
 
 #include "simd/dispatch.h"
 #include "simd/ops_scalar.h"
-#include "simd/ops_sse2.h"
 
 #if COCO_SIMD_HAVE_AVX2
 #include <immintrin.h>
 
 namespace coco::simd::avx2 {
-
-// 32-byte lane equality (4 padded words).
-COCO_TARGET_AVX2 inline bool Eq256(const uint64_t* a, const uint64_t* b) {
-  const __m256i cmp = _mm256_cmpeq_epi64(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)));
-  return _mm256_movemask_epi8(cmp) == -1;
-}
-
-template <size_t W>
-COCO_TARGET_AVX2 inline bool KeyEq(const uint64_t* slot,
-                                   const uint64_t* probe) {
-  if constexpr (W == 1) {
-    return slot[0] == probe[0];
-  } else if constexpr (W == 2) {
-    return sse2::Eq128(slot, probe);
-  } else {
-    bool eq = true;
-    size_t w = 0;
-    for (; w + 4 <= W; w += 4) eq &= Eq256(slot + w, probe + w);
-    for (; w + 2 <= W; w += 2) eq &= sse2::Eq128(slot + w, probe + w);
-    if constexpr (W % 2 != 0) eq &= slot[W - 1] == probe[W - 1];
-    return eq;
-  }
-}
-
-template <size_t W>
-COCO_TARGET_AVX2 inline int FindMatch(const uint64_t* keys,
-                                      const uint32_t* values,
-                                      const size_t* idx, size_t d,
-                                      const uint64_t* probe) {
-  if constexpr (W <= 2) {
-    return sse2::FindMatch<W>(keys, values, idx, d, probe);
-  } else {
-    for (size_t i = 0; i < d; ++i) {
-      if (values[idx[i]] != 0 && KeyEq<W>(keys + idx[i] * W, probe)) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-}
-
-template <size_t W>
-COCO_TARGET_AVX2 inline uint32_t KeyEqMask(const uint64_t* keys,
-                                           const size_t* idx, size_t d,
-                                           const uint64_t* probe) {
-  if constexpr (W <= 2) {
-    return sse2::KeyEqMask<W>(keys, idx, d, probe);
-  } else {
-    uint32_t mask = 0;
-    for (size_t i = 0; i < d; ++i) {
-      mask |= static_cast<uint32_t>(KeyEq<W>(keys + idx[i] * W, probe)) << i;
-    }
-    return mask;
-  }
-}
 
 COCO_TARGET_AVX2 inline uint64_t SumU32(const uint32_t* v, size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -117,23 +58,53 @@ COCO_TARGET_AVX2 inline size_t CountNonZero(const uint32_t* v, size_t n) {
   return count;
 }
 
-COCO_TARGET_AVX2 inline size_t FindNextNonZero(const uint32_t* v, size_t n,
-                                               size_t from) {
-  size_t i = from;
+namespace internal {
+// kLanePack.lanes[m] lists the set bits of the 8-bit mask m in ascending
+// order (unused lanes zero): one 8-byte load turns a block's non-zero mask
+// into its packed offsets.
+struct LanePack {
+  alignas(8) uint8_t lanes[256][8];
+};
+constexpr LanePack MakeLanePack() {
+  LanePack p{};
+  for (unsigned m = 0; m < 256; ++m) {
+    unsigned k = 0;
+    for (unsigned b = 0; b < 8; ++b) {
+      if ((m >> b) & 1) p.lanes[m][k++] = static_cast<uint8_t>(b);
+    }
+  }
+  return p;
+}
+inline constexpr LanePack kLanePack = MakeLanePack();
+}  // namespace internal
+
+// Left-packs 8 counters per step with no data-dependent branch: the block's
+// non-zero mask indexes kLanePack, the 8 byte offsets widen to 32-bit
+// lanes, and all 8 are stored while the cursor advances by the mask's
+// popcount. The store never passes out[n - 1]: count <= i before a block.
+COCO_TARGET_AVX2 inline size_t NonZeroOffsets(const uint32_t* v, size_t n,
+                                              uint32_t* out) {
   const __m256i zero = _mm256_setzero_si256();
+  size_t count = 0;
+  size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i x =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const int zmask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(x, zero)));
-    if (zmask != 0xFF) {
-      return i + static_cast<size_t>(__builtin_ctz(~zmask & 0xFF));
-    }
+    const unsigned nz = ~static_cast<unsigned>(_mm256_movemask_ps(
+                            _mm256_castsi256_ps(_mm256_cmpeq_epi32(x, zero)))) &
+                        0xFF;
+    const __m256i lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(internal::kLanePack.lanes[nz])));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + count),
+        _mm256_add_epi32(lanes, _mm256_set1_epi32(static_cast<int>(i))));
+    count += static_cast<size_t>(__builtin_popcount(nz));
   }
   for (; i < n; ++i) {
-    if (v[i] != 0) return i;
+    out[count] = static_cast<uint32_t>(i);
+    count += v[i] != 0;
   }
-  return n;
+  return count;
 }
 
 COCO_TARGET_AVX2 inline uint32_t MaxU32(const uint32_t* v, size_t n) {
@@ -190,8 +161,10 @@ COCO_TARGET_AVX2 inline uint32_t MinNonZeroU32(const uint32_t* v, size_t n) {
 
 #else  // !COCO_SIMD_HAVE_AVX2
 
+// Without the AVX2 tier every avx2:: call resolves to the scalar kernel, so
+// dispatching callers need no #if guards.
 namespace coco::simd::avx2 {
-using namespace coco::simd::sse2;
+using namespace coco::simd::scalar;
 }  // namespace coco::simd::avx2
 
 #endif  // COCO_SIMD_HAVE_AVX2

@@ -1,9 +1,11 @@
 // Scalar reference implementations of the SIMD kernel contracts.
 //
-// Every kernel is a pure function over words/counters; the SSE2 and AVX2
-// tiers (ops_sse2.h / ops_avx2.h) must return bit-identical results — the
-// contracts are defined HERE and the vector tiers are checked against these
-// by tests/simd_test.cpp, both directly and through the byte-identical
+// Every kernel is a pure function over words/counters. The key compares
+// (FindMatch, KeyEqMask and the *Short kernels) exist only here: the update
+// rules run them on every host. The counter scans have AVX2 counterparts
+// (ops_avx2.h) that must return bit-identical results — the contracts are
+// defined HERE and the AVX2 kernels are checked against these by
+// tests/simd_test.cpp, both directly and through the byte-identical
 // sketch-state matrix.
 //
 // Kernel vocabulary (all operating on the word-addressable bucket layout of
@@ -16,17 +18,16 @@
 //                  (HwCocoSketch's per-array replacement decision).
 //   SumU32       — 64-bit sum of counters (TotalValue / stats mass).
 //   CountNonZero — occupied-bucket count (stats / delta sizing).
-//   FindNextNonZero — next occupied index at or after `from` (decode /
-//                  merge / state-image scans skip empty runs with this).
+//   NonZeroOffsets — the occupied offsets of a counter run, packed in
+//                  ascending order (the decode / merge walk, see
+//                  simd::ForEachNonZero).
 //   MaxU32 / MinNonZeroU32 — occupancy extremes for sketch stats.
 //
 // The *Short kernels are the register-probe variants for keys up to 16
-// bytes: the padded key words are assembled straight from the key bytes
-// into registers instead of bouncing through a stack-resident PaddedKey.
-// On the vector tiers that stack bounce costs a store-to-load-forwarding
-// stall per packet (8-byte stores reloaded as one 16-byte vector), worth
-// ~2.5 ns/packet on the batched hot path — so the sketches' update rules
-// always go through the probe API and the tiers choose the representation.
+// bytes, the update rule's only pass-1 path at those widths: the padded key
+// words are assembled straight from the key bytes into registers instead of
+// bouncing through a stack-resident PaddedKey, whose 8-byte stores reloaded
+// as one wider vector cost a store-to-load-forwarding stall per packet.
 #pragma once
 
 #include <cstddef>
@@ -159,12 +160,17 @@ inline size_t CountNonZero(const uint32_t* v, size_t n) {
   return count;
 }
 
-// Smallest i >= from with v[i] != 0, or n when the tail is all zero.
-inline size_t FindNextNonZero(const uint32_t* v, size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    if (v[i] != 0) return i;
+// Writes every i in [0, n) with v[i] != 0 to out[0..count), ascending, and
+// returns count. `out` must hold n entries (n < 2^32). Branchless: every
+// offset is stored and only the non-zero ones advance the cursor, so the
+// cost does not depend on where the occupied counters sit.
+inline size_t NonZeroOffsets(const uint32_t* v, size_t n, uint32_t* out) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[count] = static_cast<uint32_t>(i);
+    count += v[i] != 0;
   }
-  return n;
+  return count;
 }
 
 inline uint32_t MaxU32(const uint32_t* v, size_t n) {

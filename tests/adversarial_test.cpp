@@ -425,8 +425,7 @@ TEST(Unbiasedness, UniformTrafficEstimatesCentredOnZero) {
   const double kTrueSize =
       static_cast<double>(kPackets) / static_cast<double>(kFlows);
 
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+  for (const simd::Tier tier : simd::HostTiers()) {
     double signed_error_sum = 0;
     size_t samples = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
@@ -503,15 +502,15 @@ TEST(Unbiasedness, StateImagesByteIdenticalAcrossSimdTiers) {
   // image (format v3) seals the same seed word.
   const auto packets = trace::GenerateUniformTrace(20'000, 900, 0x51);
   std::vector<std::vector<uint8_t>> images;
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+  for (const simd::Tier tier : simd::HostTiers()) {
     CocoSketch<FiveTuple> sketch(KiB(8), 2, 0x77);
     sketch.SetSimdTier(tier);
     for (const Packet& p : packets) sketch.Update(p.key, p.weight);
     images.push_back(sketch.SerializeState());
   }
-  EXPECT_EQ(images[0], images[1]);
-  EXPECT_EQ(images[0], images[2]);
+  for (size_t i = 1; i < images.size(); ++i) {
+    EXPECT_EQ(images[i], images[0]) << simd::TierName(simd::HostTiers()[i]);
+  }
 }
 
 // ---- Keyed-hashing defaults ----------------------------------------------

@@ -231,16 +231,6 @@ TEST(CocoSketch, RejectsBadGeometry) {
 
 // --- Decode into the flat FlowTable ----------------------------------------
 
-// Every tier this host can execute, deduplicated.
-std::vector<simd::Tier> HostTiers() {
-  std::vector<simd::Tier> tiers;
-  for (simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    if (simd::ClampTier(t) == t) tiers.push_back(t);
-  }
-  return tiers;
-}
-
 template <typename Key>
 Key RandomKey(Rng* rng) {
   Key key;
@@ -348,7 +338,7 @@ void ExpectDecodeMatchesReference(size_t memory, uint64_t seed) {
   FeedSkewed(&sketch, RandomPool<Key>(4000, &rng), 40000, &rng);
   const auto ref = ReferenceDecode(sketch.Buckets());
   ASSERT_GT(ref.size(), 100u);
-  for (simd::Tier t : HostTiers()) {
+  for (simd::Tier t : simd::HostTiers()) {
     SCOPED_TRACE(simd::TierName(t));
     sketch.SetSimdTier(t);
     ExpectTableMatches(sketch.Decode(), ref, AbsentKey(ref, &rng));
@@ -387,7 +377,7 @@ TEST(CocoSketchDecode, MatchesReferenceOnEveryTierAndKeyWidth) {
 
 TEST(CocoSketchDecode, EmptySketchDecodesToEmptyTable) {
   CocoSketch<FiveTuple> sketch(KiB(16), 2, 5);
-  for (simd::Tier t : HostTiers()) {
+  for (simd::Tier t : simd::HostTiers()) {
     SCOPED_TRACE(simd::TierName(t));
     sketch.SetSimdTier(t);
     ExpectTableMatches(sketch.Decode(), {}, FiveTuple(1, 2, 3, 4, 6));
@@ -409,7 +399,7 @@ TEST(CocoSketchDecode, MergedShardsSumKeysHeldInSeveralBuckets) {
   // The merge must leave some key in two buckets, or summation goes
   // unexercised.
   ASSERT_GT(OccupiedBuckets(merged.Buckets()), ref.size());
-  for (simd::Tier t : HostTiers()) {
+  for (simd::Tier t : simd::HostTiers()) {
     SCOPED_TRACE(simd::TierName(t));
     merged.SetSimdTier(t);
     const auto table = merged.Decode();
@@ -438,7 +428,7 @@ TEST(CocoSketchDecode, HwVariantMatchesScoredReference) {
     if (est != 0) ref.emplace(key, est);
   }
   ASSERT_GT(ref.size(), 100u);
-  for (simd::Tier t : HostTiers()) {
+  for (simd::Tier t : simd::HostTiers()) {
     SCOPED_TRACE(simd::TierName(t));
     hw.SetSimdTier(t);
     ExpectTableMatches(hw.Decode(), ref, AbsentKey(ref, &rng));

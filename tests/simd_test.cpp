@@ -1,21 +1,20 @@
-// SIMD tier tests (ISSUE 6): the vector tiers must be invisible except for
-// speed. Three layers of checking:
+// SIMD tier tests: the AVX2 tier must be invisible except for speed. Three
+// layers of checking:
 //
-//   1. Kernel contracts — every ops_sse2.h / ops_avx2.h kernel against the
-//      scalar reference in ops_scalar.h on adversarial and random inputs,
-//      including the register-probe ("Short") key kernels and the AVX2
-//      4-wide hash window (lane-for-lane vs MultiHash::Slots).
+//   1. Kernel contracts — every ops_avx2.h kernel against the scalar
+//      reference in ops_scalar.h on adversarial and random inputs, the
+//      word-array key compares against a byte-compare reference, and the
+//      register-probe ("Short") key kernels against the word-array ones.
 //   2. Dispatch — COCO_SIMD parsing, ceiling clamping, process default and
 //      per-instance override.
 //   3. Byte-identical state — the full matrix of {per-packet, batched} x
-//      {scalar, sse2, avx2} x d in {1,2,4,8} x memory (L1 to DRAM-ish) x
-//      key widths (8B IpPairKey, 13B FiveTuple, 37B V6Tuple) must serialize
-//      to the same bytes, and merge / state-image round-trips must agree
+//      {scalar, avx2} x d in {1,2,4,8} x memory (L1 to DRAM-ish) x key
+//      widths (8B IpPairKey, 13B FiveTuple, 37B V6Tuple) must serialize to
+//      the same bytes, and merge / state-image round-trips must agree
 //      across tiers.
 //
-// Tiers above the host's ceiling are clamped by SetSimdTier, so on an
-// SSE2-only box the avx2 rows silently re-run sse2 — still a valid identity
-// check, just not an avx2 one.
+// The tiers run are simd::HostTiers(): on a host without AVX2 only the
+// scalar rows run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,11 +27,9 @@
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
 #include "core/merge.h"
-#include "hash/multihash.h"
 #include "keys/v6.h"
 #include "ovs/steering.h"
 #include "simd/dispatch.h"
-#include "simd/hash_avx2.h"
 #include "simd/ops.h"
 #include "trace/generators.h"
 
@@ -44,16 +41,6 @@ using core::DivisionMode;
 using core::HwCocoSketch;
 using core::PaddedKey;
 using keys::V6Tuple;
-
-// Every tier this host can actually execute, deduplicated (on an SSE2-only
-// box the avx2 entry clamps down and would repeat sse2).
-std::vector<Tier> HostTiers() {
-  std::vector<Tier> tiers;
-  for (Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
-    if (ClampTier(t) == t) tiers.push_back(t);
-  }
-  return tiers;
-}
 
 // ---- 1. Kernel contracts ---------------------------------------------------
 
@@ -70,28 +57,33 @@ std::vector<uint32_t> RandomCounters(size_t n, uint64_t seed,
 }
 
 TEST(SimdKernels, CounterScansMatchScalar) {
-  // Lengths straddle the 4-lane (SSE2) and 8-lane (AVX2) strides plus
-  // ragged tails; zero fractions hit the all-zero and no-zero edges.
+  // Lengths straddle the 8-lane AVX2 stride plus ragged tails; zero
+  // fractions hit the all-zero and no-zero edges.
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
                    size_t{8}, size_t{9}, size_t{64}, size_t{1000},
                    size_t{4097}}) {
-    for (double zf : {0.0, 0.5, 1.0}) {
+    for (double zf : {0.0, 0.5, 0.9, 1.0}) {
       const auto v = RandomCounters(n, n * 31 + static_cast<uint64_t>(zf * 7),
                                     zf);
       const uint64_t sum = scalar::SumU32(v.data(), n);
       const size_t nz = scalar::CountNonZero(v.data(), n);
       const uint32_t mx = scalar::MaxU32(v.data(), n);
       const uint32_t mn = scalar::MinNonZeroU32(v.data(), n);
+      std::vector<size_t> occupied;
+      for (size_t i = 0; i < n; ++i) {
+        if (v[i] != 0) occupied.push_back(i);
+      }
       for (Tier t : HostTiers()) {
         EXPECT_EQ(SumU32(t, v.data(), n), sum) << TierName(t) << " n=" << n;
         EXPECT_EQ(CountNonZero(t, v.data(), n), nz) << TierName(t);
         EXPECT_EQ(MaxU32(t, v.data(), n), mx) << TierName(t);
         EXPECT_EQ(MinNonZeroU32(t, v.data(), n), mn) << TierName(t);
-        for (size_t from : {size_t{0}, n / 2, n}) {
-          EXPECT_EQ(FindNextNonZero(t, v.data(), n, from),
-                    scalar::FindNextNonZero(v.data(), n, from))
-              << TierName(t) << " n=" << n << " from=" << from;
-        }
+        // The walk visits every occupied index once, ascending, across
+        // chunk boundaries (n = 1000 and 4097 span several chunks).
+        std::vector<size_t> visited;
+        ForEachNonZero(t, v.data(), n,
+                       [&](size_t i) { visited.push_back(i); });
+        EXPECT_EQ(visited, occupied) << TierName(t) << " n=" << n;
       }
     }
   }
@@ -108,7 +100,9 @@ TEST(SimdKernels, SumU32DoesNotWrap) {
 }
 
 // Builds a d-array bucket universe with W words per key, plants `probe` at
-// chosen arrays, and checks FindMatch/KeyEqMask tier-for-tier.
+// chosen arrays, and checks the word-array FindMatch/KeyEqMask (the update
+// rules' compare for keys wider than 16 bytes) against a byte-compare
+// reference: first occupied match, and the unconditional equality mask.
 template <size_t W>
 void CheckMatchKernels(uint64_t seed) {
   Rng rng(seed);
@@ -121,29 +115,28 @@ void CheckMatchKernels(uint64_t seed) {
     for (auto& w : probe) w = rng.Next();
     size_t idx[8];
     for (size_t i = 0; i < d; ++i) idx[i] = i * kL + rng.NextBelow(kL);
-    // Plant the probe key in a pseudo-random subset of the mapped slots.
+    // Plant the probe key in a pseudo-random subset of the mapped slots;
+    // some other slots get the probe with one word flipped.
     for (size_t i = 0; i < d; ++i) {
-      if (rng.NextBelow(2) == 0) {
-        std::memcpy(&keys[idx[i] * W], probe, W * 8);
+      const size_t pick = rng.NextBelow(3);
+      if (pick == 0) continue;
+      std::memcpy(&keys[idx[i] * W], probe, W * 8);
+      if (pick == 2) keys[idx[i] * W + rng.NextBelow(W)] ^= 1;
+    }
+    int want_match = -1;
+    uint32_t want_mask = 0;
+    for (size_t i = 0; i < d; ++i) {
+      const bool eq = std::memcmp(&keys[idx[i] * W], probe, W * 8) == 0;
+      want_mask |= static_cast<uint32_t>(eq) << i;
+      if (want_match < 0 && eq && values[idx[i]] != 0) {
+        want_match = static_cast<int>(i);
       }
     }
-    const int want_match =
-        scalar::FindMatch<W>(keys.data(), values.data(), idx, d, probe);
-    const uint32_t want_mask =
-        scalar::KeyEqMask<W>(keys.data(), idx, d, probe);
-    EXPECT_EQ(sse2::FindMatch<W>(keys.data(), values.data(), idx, d, probe),
+    EXPECT_EQ(scalar::FindMatch<W>(keys.data(), values.data(), idx, d, probe),
               want_match)
         << "W=" << W << " d=" << d;
-    EXPECT_EQ(sse2::KeyEqMask<W>(keys.data(), idx, d, probe), want_mask);
-#if COCO_SIMD_HAVE_AVX2
-    if (ClampTier(Tier::kAvx2) == Tier::kAvx2) {
-      EXPECT_EQ(
-          avx2::FindMatch<W>(keys.data(), values.data(), idx, d, probe),
-          want_match)
-          << "W=" << W << " d=" << d;
-      EXPECT_EQ(avx2::KeyEqMask<W>(keys.data(), idx, d, probe), want_mask);
-    }
-#endif
+    EXPECT_EQ(scalar::KeyEqMask<W>(keys.data(), idx, d, probe), want_mask)
+        << "W=" << W << " d=" << d;
   }
 }
 
@@ -163,19 +156,12 @@ void CheckShortProbeKernels(uint64_t seed) {
   uint8_t key_bytes[kSize];
   for (auto& b : key_bytes) b = static_cast<uint8_t>(rng.Next32());
 
-  // Probe words == the padded stored representation, all three builders.
+  // Probe words == the padded stored representation.
   uint64_t padded[2] = {0, 0};
   std::memcpy(padded, key_bytes, kSize);
   const auto sp = scalar::MakeShortProbe<kSize>(key_bytes);
   EXPECT_EQ(sp.w0, padded[0]) << "kSize=" << kSize;
   if constexpr (W == 2) EXPECT_EQ(sp.w1, padded[1]) << "kSize=" << kSize;
-  if constexpr (kSize > 8) {
-    uint64_t from_sse[2];
-    const auto xp = sse2::MakeShortProbe<kSize>(key_bytes);
-    std::memcpy(from_sse, &xp.v, 16);
-    EXPECT_EQ(from_sse[0], padded[0]) << "kSize=" << kSize;
-    EXPECT_EQ(from_sse[1], padded[1]) << "kSize=" << kSize;
-  }
 
   constexpr size_t kL = 11;
   for (size_t d = 1; d <= 8; ++d) {
@@ -199,25 +185,10 @@ void CheckShortProbeKernels(uint64_t seed) {
         << "kSize=" << kSize << " d=" << d;
     EXPECT_EQ(scalar::KeyEqMaskShort<kSize>(keys.data(), idx, d, sp),
               want_mask);
-    if constexpr (kSize > 8) {
-      const auto xp = sse2::MakeShortProbe<kSize>(key_bytes);
-      EXPECT_EQ(sse2::FindMatchShort<kSize>(keys.data(), values.data(), idx,
-                                            d, xp),
-                want_match)
-          << "kSize=" << kSize << " d=" << d;
-      EXPECT_EQ(sse2::KeyEqMaskShort<kSize>(keys.data(), idx, d, xp),
-                want_mask);
-    }
     // StoreShortKey writes the exact padded slot bytes.
     std::vector<uint64_t> stored(W, ~uint64_t{0});
     scalar::StoreShortKey<kSize>(stored.data(), 0, sp);
     EXPECT_EQ(std::memcmp(stored.data(), padded, W * 8), 0);
-    if constexpr (kSize > 8) {
-      std::fill(stored.begin(), stored.end(), ~uint64_t{0});
-      sse2::StoreShortKey<kSize>(stored.data(), 0,
-                                 sse2::MakeShortProbe<kSize>(key_bytes));
-      EXPECT_EQ(std::memcmp(stored.data(), padded, W * 8), 0);
-    }
   }
 }
 
@@ -228,58 +199,15 @@ TEST(SimdKernels, ShortProbeKernelsMatchGeneric) {
   CheckShortProbeKernels<16>(0xb0);  // full two words, zero pad
 }
 
-#if COCO_SIMD_HAVE_AVX2
-// HashSlots4 is force-inlined into AVX2-attributed callers only; give the
-// test one.
-template <size_t kLen, size_t kMaxD>
-COCO_TARGET_AVX2 void CallHashSlots4(const uint8_t* p0, const uint8_t* p1,
-                                     const uint8_t* p2, const uint8_t* p3,
-                                     uint64_t seed, const uint64_t* salts,
-                                     size_t d, uint64_t width,
-                                     uint32_t (*out)[kMaxD]) {
-  avx2::HashSlots4<kLen, kMaxD>(p0, p1, p2, p3, seed, salts, d, width, out);
-}
-
-TEST(SimdKernels, HashSlots4MatchesMultiHashSlots) {
-  if (ClampTier(Tier::kAvx2) != Tier::kAvx2) {
-    GTEST_SKIP() << "host lacks AVX2";
-  }
-  Rng rng(0x4a54);
-  for (size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
-    const hash::MultiHash mh(0xfeedULL + d, d, 12289);
-    constexpr size_t kLen = FiveTuple::kSize;
-    uint8_t keys[4][kLen];
-    for (auto& k : keys) {
-      for (auto& b : k) b = static_cast<uint8_t>(rng.Next32());
-    }
-    uint32_t want[4][CocoSketch<FiveTuple>::kMaxD];
-    for (size_t j = 0; j < 4; ++j) {
-      mh.Slots(keys[j], kLen, want[j]);
-    }
-    uint32_t got[4][CocoSketch<FiveTuple>::kMaxD];
-    CallHashSlots4<kLen, CocoSketch<FiveTuple>::kMaxD>(
-        keys[0], keys[1], keys[2], keys[3], mh.seed(), mh.salts(), d,
-        mh.width(), got);
-    for (size_t j = 0; j < 4; ++j) {
-      for (size_t i = 0; i < d; ++i) {
-        EXPECT_EQ(got[j][i], want[j][i]) << "d=" << d << " key=" << j
-                                         << " array=" << i;
-      }
-    }
-  }
-}
-#endif  // COCO_SIMD_HAVE_AVX2
-
 // ---- 2. Dispatch -----------------------------------------------------------
 
 TEST(SimdDispatch, ParseTierAcceptsKnownNamesOnly) {
   Tier t = Tier::kAvx2;
   EXPECT_TRUE(ParseTier("scalar", &t));
   EXPECT_EQ(t, Tier::kScalar);
-  EXPECT_TRUE(ParseTier("sse2", &t));
-  EXPECT_EQ(t, Tier::kSse2);
   EXPECT_TRUE(ParseTier("avx2", &t));
   EXPECT_EQ(t, Tier::kAvx2);
+  EXPECT_FALSE(ParseTier("sse2", &t)) << "no SSE2 tier";
   EXPECT_FALSE(ParseTier(nullptr, &t));
   EXPECT_FALSE(ParseTier("", &t));
   EXPECT_FALSE(ParseTier("AVX2", &t));
@@ -289,7 +217,7 @@ TEST(SimdDispatch, ParseTierAcceptsKnownNamesOnly) {
 
 TEST(SimdDispatch, ClampNeverExceedsDetectedCeiling) {
   const Tier ceiling = DetectTier();
-  for (Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
+  for (Tier t : {Tier::kScalar, Tier::kAvx2}) {
     EXPECT_LE(static_cast<int>(ClampTier(t)), static_cast<int>(ceiling));
     EXPECT_LE(static_cast<int>(ClampTier(t)), static_cast<int>(t));
   }
@@ -301,10 +229,10 @@ TEST(SimdDispatch, EnvOverrideSelectsRequestedTier) {
   // caches it once; sketches capture from the default at construction).
   ASSERT_EQ(setenv("COCO_SIMD", "scalar", 1), 0);
   EXPECT_EQ(ResolveTier(), Tier::kScalar);
-  ASSERT_EQ(setenv("COCO_SIMD", "sse2", 1), 0);
-  EXPECT_EQ(ResolveTier(), ClampTier(Tier::kSse2));
   ASSERT_EQ(setenv("COCO_SIMD", "avx2", 1), 0);
   EXPECT_EQ(ResolveTier(), ClampTier(Tier::kAvx2));
+  ASSERT_EQ(setenv("COCO_SIMD", "sse2", 1), 0);
+  EXPECT_EQ(ResolveTier(), DetectTier()) << "sse2 is not a tier name";
   ASSERT_EQ(setenv("COCO_SIMD", "bogus", 1), 0);
   EXPECT_EQ(ResolveTier(), DetectTier()) << "unknown names fall back";
   ASSERT_EQ(unsetenv("COCO_SIMD"), 0);
@@ -430,22 +358,32 @@ TEST(SimdStateMatrix, WideV6KeyAcrossTiers) {
   }
 }
 
-TEST(SimdStateMatrix, HwSketchAcrossTiers) {
-  const auto& trace = FiveTupleTrace();
+// The hardware variant's matrix: batched on every host tier against a
+// scalar per-packet reference, both division modes.
+template <typename Key, typename Record>
+void CheckHwStateMatrix(const std::vector<Record>& trace, size_t d,
+                        uint64_t seed) {
   for (auto division : {DivisionMode::kExact, DivisionMode::kApproximate}) {
-    for (size_t d : {size_t{1}, size_t{2}, size_t{4}}) {
-      HwCocoSketch<FiveTuple> reference(KiB(96), d, division, 0xbe + d);
-      reference.SetSimdTier(Tier::kScalar);
-      for (const Packet& p : trace) reference.Update(p.key, p.weight);
-      const auto want = reference.SerializeState();
-      for (Tier t : HostTiers()) {
-        HwCocoSketch<FiveTuple> batched(KiB(96), d, division, 0xbe + d);
-        batched.SetSimdTier(t);
-        batched.UpdateBatch(trace.data(), trace.size());
-        EXPECT_EQ(batched.SerializeState(), want)
-            << "hw tier=" << TierName(t) << " d=" << d;
-      }
+    HwCocoSketch<Key> reference(KiB(96), d, division, seed);
+    reference.SetSimdTier(Tier::kScalar);
+    for (const Record& r : trace) reference.Update(r.key, r.weight);
+    const auto want = reference.SerializeState();
+    for (Tier t : HostTiers()) {
+      HwCocoSketch<Key> batched(KiB(96), d, division, seed);
+      batched.SetSimdTier(t);
+      batched.UpdateBatch(trace.data(), trace.size());
+      EXPECT_EQ(batched.SerializeState(), want)
+          << "hw tier=" << TierName(t) << " d=" << d << " key bytes "
+          << Key::kSize;
     }
+  }
+}
+
+TEST(SimdStateMatrix, HwSketchAcrossTiers) {
+  for (size_t d : {size_t{1}, size_t{2}, size_t{4}}) {
+    CheckHwStateMatrix<FiveTuple>(FiveTupleTrace(), d, 0xbe + d);
+    // 37-byte keys take the word-array mask instead of the register probe.
+    CheckHwStateMatrix<V6Tuple>(V6Trace(), d, 0xbe + d);
   }
 }
 
