@@ -12,9 +12,8 @@
 //   * RSS flow steering (ovs/steering.h): shard = hash(full key), so every
 //     flow's packets converge on one shard, every shard's sketch has exactly
 //     one writer, and the SIMD batch path runs lock-free per core.
-//   * Shard-group topology with a pluggable placement cost model: shards are
-//     placed onto workers (and workers onto NUMA-style groups) by
-//     PlaceShards; a worker polls only the shards it owns.
+//   * Round-robin placement: worker s % W owns shard s (PlaceShards); a
+//     worker polls only the shards it owns.
 //   * Proportional polling: a worker drains its owned rings fullest-first
 //     with a drain budget proportional to occupancy, so a skewed shard
 //     cannot starve its siblings on the same core.
@@ -31,12 +30,13 @@
 //     never blocking on readers) and the collector merges the published
 //     shard sketches via core::MergeAll — readers never stall writers.
 //
-// Per-shard robustness features (docs/ROBUSTNESS.md), each free when off:
-// the degradation ladder (occupancy-hysteresis sampled updates with
-// compensated weights), periodic checkpoints with a watchdog that flags
-// stalled workers and respawns dead ones from each owned shard's newest
-// valid image, scripted FaultPlan stalls/kills/corruptions keyed to shard
-// progress, and the attack monitor with seed rotation.
+// Workers only move records; what a shard does with them lives in its
+// thread-free ShardCore (ovs/shard_core.h): the batch apply and the
+// per-shard robustness features of docs/ROBUSTNESS.md, each free when off —
+// the degradation ladder, checkpoints, and the attack monitor with seed
+// rotation. A watchdog thread flags stalled workers and respawns dead ones
+// (restoring their shards' checkpoints); FaultPlan stalls, kills and
+// corruptions are keyed to shard progress.
 //
 // Conservation contract (tests/scaleout_test.cpp): every offered record is
 // counted exactly once — offered == exact + degraded + rx_dropped across ALL
@@ -62,9 +62,7 @@ namespace coco::ovs {
 
 struct ScaleoutConfig {
   size_t num_shards = 4;
-  size_t num_workers = 4;  // 1 <= workers <= shards
-  size_t num_groups = 1;   // NUMA socket stand-ins for the placement model
-  PlacementCost placement_cost;  // null = uniform (balanced block placement)
+  size_t num_workers = 4;  // 1 <= workers <= shards; worker s % W owns s
 
   // NIC pacing shared by all producers; 0 disables the cap entirely (offline
   // replay / the scaling bench, where the compute path is the object).
@@ -84,14 +82,11 @@ struct ScaleoutConfig {
   // Producer behavior on a full ring: backpressure (spin) or drop + count.
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
 
-  // Degradation ladder, per shard: when ring occupancy crosses
-  // high_watermark * capacity the shard switches to sampled updates
-  // (probability degrade_sample_prob, weights compensated by 1/p so
-  // estimates stay unbiased), and steps back to exact updates once
-  // occupancy falls below low_watermark * capacity.
+  // Degradation ladder, per shard: when ring occupancy reaches 3/4 of
+  // capacity the shard switches to sampled updates (probability
+  // degrade_sample_prob, weights compensated by 1/p so estimates stay
+  // unbiased), and steps back to exact updates once occupancy falls to 1/4.
   bool degrade_enabled = false;
-  double degrade_high_watermark = 0.75;
-  double degrade_low_watermark = 0.25;
   double degrade_sample_prob = 0.25;
 
   // Work stealing: a worker with nothing of its own to drain steals from the

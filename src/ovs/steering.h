@@ -1,5 +1,5 @@
 // RSS-style flow steering and shard placement for the multi-core scale-out
-// datapath (DESIGN.md "Multi-core scale-out"; ROADMAP NUMA/multi-core item).
+// datapath (DESIGN.md "Multi-core scale-out").
 //
 // Steering: shard = Lemire-reduce(Hash64(full key, steering seed)) — a pure
 // function of (key, seed, num_shards), so the same flow always lands on the
@@ -10,16 +10,12 @@
 // function of the shard split, which the unbiasedness tests (and a
 // white-box adversary) would notice.
 //
-// Placement: shards are grouped onto workers, workers onto groups (NUMA
-// socket stand-ins), under a pluggable cost model — cost(shard, group) is
-// whatever the deployment knows about where a shard's producer data lives.
-// The placement is deterministic (stable tie-breaks) so topologies are
-// reproducible across runs and testable without threads.
+// Placement: round-robin, worker s % W owns shard s — ownership balanced to
+// within one shard, reproducible across runs and testable without threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -44,9 +40,6 @@ class FlowSteering {
         (static_cast<unsigned __int128>(h) * shards_) >> 64);
   }
 
-  size_t num_shards() const { return shards_; }
-  uint64_t seed() const { return seed_; }
-
  private:
   // Domain-separates the steering hash from the sketch's bucket hashes even
   // when a caller passes the same base seed to both.
@@ -56,38 +49,24 @@ class FlowSteering {
   size_t shards_;
 };
 
-// Cost of placing `shard`'s consumer on `group` (a socket). Lower is better;
-// the scale is the caller's (cross-socket hops, cache-miss penalties, ...).
-using PlacementCost = std::function<double(size_t shard, size_t group)>;
-
-// A NUMA-flavored default: shard s's producer data is "homed" on group
-// (s * num_groups / num_shards); consuming it from any other group costs
-// `penalty`. With this model and enough per-group worker capacity,
-// PlaceShards keeps every shard on its home socket.
-PlacementCost NumaHomeCost(size_t num_shards, size_t num_groups,
-                           double penalty = 1.0);
-
-// The shard-group topology the scale-out datapath runs: which worker owns
-// which shards, which group each worker sits on, and the total placement
-// cost under the model that produced it.
+// The topology the scale-out datapath runs: which worker owns which shards.
 struct ShardTopology {
-  size_t num_shards = 0;
-  size_t num_workers = 0;
-  size_t num_groups = 0;
-  std::vector<size_t> shard_owner;               // shard -> worker
-  std::vector<size_t> worker_group;              // worker -> group
+  std::vector<size_t> shard_owner;                 // shard -> worker
   std::vector<std::vector<size_t>> worker_shards;  // worker -> owned shards
-  double placement_cost = 0.0;
 };
 
-// Assigns workers to groups in contiguous blocks and shards to workers by a
-// greedy cost-then-load rule: each shard (in index order) goes to the
-// cheapest worker with spare capacity (capacity = ceil(S/W), so ownership
-// stays balanced); ties break toward the least-loaded, then lowest-index
-// worker. `cost == nullptr` means uniform (placement degenerates to balanced
-// block assignment). Deterministic: same inputs, same topology.
-ShardTopology PlaceShards(size_t num_shards, size_t num_workers,
-                          size_t num_groups,
-                          const PlacementCost& cost = nullptr);
+// Round-robin placement: shard s goes to worker s % num_workers.
+inline ShardTopology PlaceShards(size_t num_shards, size_t num_workers) {
+  COCO_CHECK(num_workers >= 1 && num_workers <= num_shards,
+             "placement needs 1 <= workers <= shards");
+  ShardTopology topo;
+  topo.shard_owner.resize(num_shards);
+  topo.worker_shards.resize(num_workers);
+  for (size_t s = 0; s < num_shards; ++s) {
+    topo.shard_owner[s] = s % num_workers;
+    topo.worker_shards[s % num_workers].push_back(s);
+  }
+  return topo;
+}
 
 }  // namespace coco::ovs

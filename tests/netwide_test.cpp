@@ -4,6 +4,7 @@
 // transport under injected faults, and a TCP smoke test.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -818,7 +819,10 @@ TEST(Netwide, ForeignSeedAgentRejectedNeverAggregated) {
 }
 
 // Threaded loopback: agents on their own threads against a collector thread,
-// exercising the hub mutex under TSan.
+// exercising the hub mutex under TSan. Every loop runs until convergence, not
+// for a count of yields, so the test passes however the scheduler (or a
+// sanitizer's slowdown) interleaves the threads; a wall-clock guard turns a
+// hang into a failure.
 TEST(Netwide, ThreadedAgentsConverge) {
   LoopbackHub hub;
   obs::Registry registry;
@@ -829,6 +833,15 @@ TEST(Netwide, ThreadedAgentsConverge) {
   const auto trace = trace::GenerateTrace(trace::TraceConfig::CaidaLike(15000));
   uint64_t mass = 0;
   for (const Packet& p : trace) mass += p.weight;
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  const auto in_time = [&] {
+    return std::chrono::steady_clock::now() < deadline;
+  };
+  // Set once the collector holds epoch 1 of every agent; each ack is queued
+  // by then, so an agent stops as soon as it has read its own.
+  std::atomic<bool> converged{false};
 
   std::vector<std::thread> threads;
   threads.reserve(kAgents);
@@ -843,23 +856,28 @@ TEST(Netwide, ThreadedAgentsConverge) {
         sketch.Update(trace[p].key, trace[p].weight);
       }
       agent.ExportEpoch();
-      for (int t = 0; t < 2000 && !(agent.Synced() &&
-                                    agent.last_acked_epoch() == 1); ++t) {
+      while (in_time() && !(converged.load(std::memory_order_acquire) &&
+                            agent.Synced() && agent.last_acked_epoch() == 1)) {
         agent.Tick();
         std::this_thread::yield();
       }
       EXPECT_EQ(agent.last_acked_epoch(), 1u);
     });
   }
-  for (int t = 0; t < 4000; ++t) {
+  for (;;) {
     collector.Tick();
-    if (collector.AgentCount() == kAgents) {
-      bool all = true;
-      for (int i = 1; i <= kAgents; ++i) all &= collector.LastEpochOf(i) == 1;
-      if (all) break;
+    bool all = collector.AgentCount() == kAgents;
+    for (int i = 1; all && i <= kAgents; ++i) {
+      all = collector.LastEpochOf(i) == 1;
+    }
+    if (all) break;
+    if (!in_time()) {
+      ADD_FAILURE() << "agents did not converge within 60 s";
+      break;
     }
     std::this_thread::yield();
   }
+  converged.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
   collector.Tick();
   const auto c = collector.CheckConservation();

@@ -455,9 +455,7 @@ TEST(Datapath, DegradationLadderEngagesUnderOverloadAndRecovers) {
   ScaleoutConfig dp = Classic(1);
   dp.ring_capacity = 256;
   dp.overflow = OverflowPolicy::kDropNewest;
-  dp.degrade_enabled = true;
-  dp.degrade_high_watermark = 0.75;
-  dp.degrade_low_watermark = 0.25;
+  dp.degrade_enabled = true;  // watermarks 3/4 and 1/4 of ring capacity
   dp.degrade_sample_prob = 0.25;
   dp.faults.stalls.push_back({0, 0, 150});  // first-batch stall builds backlog
   const auto h = RunScaleout(dp, trace);

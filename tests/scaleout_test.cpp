@@ -1,7 +1,8 @@
 // Multi-core scale-out concurrency battery (DESIGN.md "Multi-core
-// scale-out"): steering determinism and balance, placement under cost
-// models, shard-merge fidelity against monolithic decode, epoch rotation
-// (writers never blocked, per-epoch mass conservation, no torn reads),
+// scale-out"): steering determinism and balance, round-robin placement,
+// the thread-free shard core's robustness features, shard-merge fidelity
+// against monolithic decode, epoch rotation (writers never blocked,
+// per-epoch mass conservation, no torn reads),
 // bounded work stealing on adversarially skewed fill, shard-level mass and
 // flow affinity, and the discovery-based conservation check across
 // runtime-variable shard counts.
@@ -26,7 +27,9 @@
 #include "metrics/accuracy.h"
 #include "obs/metrics.h"
 #include "ovs/epoch.h"
+#include "ovs/fault.h"
 #include "ovs/scaleout.h"
+#include "ovs/shard_core.h"
 #include "ovs/steering.h"
 #include "packet/keys.h"
 #include "trace/adversarial.h"
@@ -139,7 +142,7 @@ TEST(Steering, ShardAssignmentIndependentOfWorkerCount) {
 // ---- Placement ------------------------------------------------------------
 
 TEST(Placement, UniformCostBalancesWithinOneShard) {
-  const ShardTopology topo = PlaceShards(10, 4, 1);
+  const ShardTopology topo = PlaceShards(10, 4);
   ASSERT_EQ(topo.shard_owner.size(), 10u);
   std::vector<size_t> load(4, 0);
   for (size_t s = 0; s < 10; ++s) {
@@ -148,38 +151,211 @@ TEST(Placement, UniformCostBalancesWithinOneShard) {
   }
   for (size_t w = 0; w < 4; ++w) {
     EXPECT_GE(load[w], 2u);
-    EXPECT_LE(load[w], 3u);  // capacity = ceil(10/4)
+    EXPECT_LE(load[w], 3u);  // ceil(10/4)
     EXPECT_EQ(load[w], topo.worker_shards[w].size());
     for (const size_t s : topo.worker_shards[w]) {
       EXPECT_EQ(topo.shard_owner[s], w);
     }
   }
-  EXPECT_EQ(topo.placement_cost, 0.0);
-}
-
-TEST(Placement, NumaHomeCostKeepsShardsOnTheirSocket) {
-  const size_t S = 8, W = 4, G = 2;
-  const ShardTopology topo = PlaceShards(S, W, G, NumaHomeCost(S, G));
-  // Workers 0,1 -> group 0; workers 2,3 -> group 1.
-  EXPECT_EQ(topo.worker_group, (std::vector<size_t>{0, 0, 1, 1}));
-  // Shards 0..3 are homed on group 0, 4..7 on group 1; with capacity for
-  // all of them there, the greedy placement pays zero cross-socket cost.
-  for (size_t s = 0; s < S; ++s) {
-    const size_t home = s * G / S;
-    EXPECT_EQ(topo.worker_group[topo.shard_owner[s]], home) << "shard " << s;
+  // The placement is round-robin for every shape.
+  for (size_t W = 1; W <= 64; ++W) {
+    for (size_t S = W; S <= 64; ++S) {
+      const ShardTopology t = PlaceShards(S, W);
+      ASSERT_EQ(t.worker_shards.size(), W);
+      for (size_t s = 0; s < S; ++s) {
+        ASSERT_EQ(t.shard_owner[s], s % W) << "S=" << S << " W=" << W;
+      }
+    }
   }
-  EXPECT_EQ(topo.placement_cost, 0.0);
 }
 
-TEST(Placement, CapacityOverridesCostModel) {
-  // A cost model that prefers group 0 for every shard cannot overload it:
-  // capacity caps each worker at ceil(S/W) shards.
-  const auto prefer_group0 = [](size_t, size_t group) {
-    return group == 0 ? 0.0 : 1.0;
+// ---- Shard core (no threads) ---------------------------------------------
+
+// Feeds packets [begin, end) of `trace` to `core` in batches of `batch`, as a
+// worker draining the shard's own ring in exact mode would.
+void Feed(ShardCore* core, const std::vector<Packet>& trace, size_t begin,
+          size_t end, size_t batch) {
+  for (size_t i = begin; i < end; i += batch) {
+    core->Apply(trace.data() + i, std::min(batch, end - i), false);
+  }
+}
+
+TEST(ShardCore, KillRestoreLosesAtMostOneIntervalAndOneBatch) {
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(12345));
+  ASSERT_EQ(TraceWeight(trace), trace.size());  // unit weights
+  const size_t kBatch = 32;
+  ScaleoutConfig config;
+  config.checkpoint_interval = 1000;
+  EpochShard<FiveTuple> shard(KiB(64), config.d, config.seed);
+  ShardCore core(config, 0, &shard, nullptr);
+  Feed(&core, trace, 0, trace.size(), kBatch);
+  ASSERT_EQ(core.applied(), trace.size());
+  ASSERT_GE(core.counts().checkpoints_taken, 2u);
+
+  // The worker died with the live sketch; its replacement restores it.
+  core.Restore();
+  const ShardCore::Counts& c = core.counts();
+  EXPECT_EQ(c.checkpoints_rejected, 0u);
+  EXPECT_GT(c.packets_lost_estimate, 0u);
+  EXPECT_LE(c.packets_lost_estimate, config.checkpoint_interval + kBatch);
+  EXPECT_EQ(shard.active()->TotalValue() + c.packets_lost_estimate,
+            core.applied());
+  EXPECT_EQ(core.epoch_weight(), shard.active()->TotalValue());
+
+  // An epoch rotation publishes the active sketch, so no image taken before
+  // it may be restored over the next epoch: a crash within one interval of
+  // the rotation loses exactly what the new epoch had applied.
+  ASSERT_TRUE(core.TryRotate(1));
+  auto pub = shard.TakePublished();
+  const uint64_t published = pub.sketch->TotalValue();
+  shard.Recycle(std::move(pub.sketch));
+  const uint64_t lost_before = c.packets_lost_estimate;
+  Feed(&core, trace, 0, 500, kBatch);
+  core.Restore();
+  EXPECT_EQ(c.packets_lost_estimate - lost_before, 500u);
+  EXPECT_EQ(published + shard.active()->TotalValue() + c.packets_lost_estimate,
+            core.applied());
+}
+
+TEST(ShardCore, CorruptNewestImageFallsBackToOlder) {
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(12345));
+  const size_t kBatch = 32;
+  ScaleoutConfig config;
+  config.checkpoint_interval = 1000;
+  config.faults.corruptions.push_back({0, 3});  // the third image is torn
+  FaultInjector injector(config.faults);
+  EpochShard<FiveTuple> shard(KiB(64), config.d, config.seed);
+  ShardCore core(config, 0, &shard, &injector);
+
+  // Apply until the third checkpoint, noting when the second was taken,
+  // then a few batches more: the third image is the newest at the crash.
+  uint64_t second_image_at = 0;
+  size_t i = 0;
+  while (core.counts().checkpoints_taken < 3) {
+    ASSERT_LT(i, trace.size());
+    Feed(&core, trace, i, i + kBatch, kBatch);
+    i += kBatch;
+    if (core.counts().checkpoints_taken == 2 && second_image_at == 0) {
+      second_image_at = core.applied();
+    }
+  }
+  Feed(&core, trace, i, i + 5 * kBatch, kBatch);
+  ASSERT_EQ(injector.corruptions_fired(), 1u);
+
+  core.Restore();
+  const ShardCore::Counts& c = core.counts();
+  EXPECT_EQ(c.checkpoints_rejected, 1u);
+  EXPECT_EQ(c.packets_lost_estimate, core.applied() - second_image_at);
+  EXPECT_EQ(shard.active()->TotalValue() + c.packets_lost_estimate,
+            core.applied());
+}
+
+// The white-box collision workload of the datapath attack tests: a single
+// 16 KiB shard under a fixed seed the attacker knows, with windowed
+// detection and deterministic rotation targets.
+ScaleoutConfig AttackedShardConfig() {
+  ScaleoutConfig config;
+  config.num_shards = config.num_workers = 1;
+  config.sketch_memory_bytes = KiB(16);
+  config.seed = 0xc0c0;
+  config.attack_window_packets = 8192;
+  config.attack_options.min_window_updates = 1024;
+  config.rotate_on_attack = true;
+  config.rotation_seed = 0x0123;
+  return config;
+}
+
+const std::vector<Packet>& CollisionTrace() {
+  static const std::vector<Packet> packets = [] {
+    const ScaleoutConfig config = AttackedShardConfig();
+    trace::TraceConfig honest_config = trace::TraceConfig::CaidaLike(60'000);
+    honest_config.num_flows = 300;
+    honest_config.num_networks = 32;
+    honest_config.seed = 1;
+    const auto honest = trace::GenerateTrace(honest_config);
+    auto heavy = trace::CountTrace(honest).HeavyHitters(1);
+    std::sort(heavy.begin(), heavy.end(), [](const auto& a, const auto& b) {
+      return a.second > b.second;
+    });
+    std::vector<FiveTuple> victims;
+    for (size_t v = 0; v < 8 && v < heavy.size(); ++v) {
+      victims.push_back(heavy[v].first);
+    }
+    const CocoSketch<FiveTuple> ref(config.sketch_memory_bytes, config.d,
+                                    config.seed);
+    const auto attack = trace::CraftCollisionKeys(
+        config.seed, ref.d(), ref.l(), victims, 16, 60'000'000, 13);
+    return trace::BuildCollisionTrace(honest, attack, 80'000, 0.4).packets;
+  }();
+  return packets;
+}
+
+TEST(ShardCore, AttackRotationSeedCarriesOntoNextEpoch) {
+  const ScaleoutConfig config = AttackedShardConfig();
+  const auto& trace = CollisionTrace();
+  const size_t kBatch = 32;
+  EpochShard<FiveTuple> shard(config.sketch_memory_bytes, config.d,
+                              config.seed);
+  ShardCore core(config, 0, &shard, nullptr);
+  size_t i = 0;
+  while (core.counts().seed_rotations == 0 && i < trace.size()) {
+    Feed(&core, trace, i, std::min(i + kBatch, trace.size()), kBatch);
+    i += kBatch;
+  }
+  ASSERT_EQ(core.counts().seed_rotations, 1u);
+  EXPECT_TRUE(core.counts().rotation_mass_conserved);
+  uint64_t mix = config.rotation_seed ^ 1;  // shard 0, first rotation
+  const uint64_t rotated = SplitMix64(mix);
+  EXPECT_EQ(shard.active()->seed(), rotated);
+  const uint64_t first_epoch_weight = core.epoch_weight();
+  EXPECT_EQ(shard.active()->TotalValue(), first_epoch_weight);
+
+  // The spare swapped in at the rotation predates the attack: it must be
+  // re-seeded, and the published epoch keeps all of its mass.
+  ASSERT_TRUE(core.TryRotate(1));
+  auto pub = shard.TakePublished();
+  ASSERT_NE(pub.sketch, nullptr);
+  EXPECT_EQ(pub.sketch->seed(), rotated);
+  EXPECT_EQ(pub.applied_weight, first_epoch_weight);
+  EXPECT_EQ(pub.sketch->TotalValue(), first_epoch_weight);
+  EXPECT_EQ(shard.active()->seed(), rotated);
+  EXPECT_EQ(shard.active()->TotalValue(), 0u);
+  shard.Recycle(std::move(pub.sketch));
+
+  Feed(&core, trace, i, trace.size(), kBatch);
+  EXPECT_EQ(shard.active()->seed(), rotated);
+  EXPECT_EQ(shard.active()->TotalValue(), core.epoch_weight());
+  EXPECT_EQ(first_epoch_weight + core.epoch_weight(), TraceWeight(trace));
+}
+
+TEST(ShardCore, AttackMonitorNeedsConfirmWindowsPlusOnePerEpoch) {
+  // Each fresh epoch sketch costs the monitor one warm-up window, so an
+  // epoch shorter than confirm_windows + 1 attack windows never confirms.
+  const ScaleoutConfig config = AttackedShardConfig();
+  const uint64_t needed =
+      (config.attack_options.confirm_windows + 1) * config.attack_window_packets;
+  const auto& trace = CollisionTrace();
+  const auto confirmed_with_epochs = [&](uint64_t epoch_packets) {
+    EpochShard<FiveTuple> shard(config.sketch_memory_bytes, config.d,
+                                config.seed);
+    ShardCore core(config, 0, &shard, nullptr);
+    uint64_t epoch = 0;
+    for (size_t i = 0; i < trace.size(); i += 32) {
+      core.Apply(trace.data() + i, std::min<size_t>(32, trace.size() - i),
+                 false);
+      if (core.applied() >= (epoch + 1) * epoch_packets) {
+        EXPECT_TRUE(core.TryRotate(++epoch));
+        shard.Recycle(shard.TakePublished().sketch);
+      }
+    }
+    return core.counts().collision_attacks_confirmed;
   };
-  const ShardTopology topo = PlaceShards(8, 4, 2, prefer_group0);
-  for (size_t w = 0; w < 4; ++w) EXPECT_EQ(topo.worker_shards[w].size(), 2u);
-  EXPECT_GT(topo.placement_cost, 0.0);  // the overflow shards paid
+  ASSERT_LT(20'000u, needed);
+  ASSERT_GE(30'000u, needed);
+  EXPECT_EQ(confirmed_with_epochs(20'000), 0u);
+  EXPECT_GT(confirmed_with_epochs(30'000), 0u);
 }
 
 // ---- Shard-merge fidelity (no threads) ------------------------------------
