@@ -19,9 +19,11 @@
 #             trace generators, the overlapping tail loads of
 #             hash::Hash64 / MultiHash on exact-length heap buffers, the
 #             flat FlowTable's slot index and its word-level decode insert
-#             path straight from the bucket arrays, and the query path's
-#             bounded top-k heap (fuzz_test, hash_test, cocosketch_test,
-#             query_test, sql_test plus the same seven, for free)
+#             path straight from the bucket arrays, the query path's
+#             bounded top-k heap, and the bucket-sketch core under both
+#             variants' update rules and estimators (fuzz_test, hash_test,
+#             cocosketch_test, hw_cocosketch_test, query_test, sql_test plus
+#             the same seven, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -55,7 +57,7 @@ fi
 for p in "${presets[@]}"; do
   case "$p" in
     thread) run_preset thread ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
-    address) run_preset address fuzz_test hash_test cocosketch_test query_test sql_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test cocosketch_test hw_cocosketch_test query_test sql_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

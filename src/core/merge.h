@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -85,15 +86,22 @@ void MergeSlot(BucketArrayT* dst, const BucketArrayT& src, size_t i, Rng* rng,
   }
 }
 
+}  // namespace internal
+
+// Merge `src` into `dst` (either variant). Returns stats with ok == false
+// (and dst untouched) when geometry, hash seed or, for HwCocoSketch, the
+// division mode differ.
 template <typename Sketch>
-MergeStats MergeBucketArrays(Sketch* dst, const Sketch& src, Rng* rng) {
+MergeStats MergeSketches(Sketch* dst, const Sketch& src, Rng* rng) {
   MergeStats stats;
-  if (dst->d() != src.d() || dst->l() != src.l()) {
-    return stats;  // ok == false, dst untouched
+  if constexpr (std::is_same_v<Sketch,
+                               HwCocoSketch<typename Sketch::KeyType>>) {
+    if (dst->division() != src.division()) return stats;
   }
+  if (dst->d() != src.d() || dst->l() != src.l()) return stats;
   if (dst->seed() != src.seed()) {
     stats.seed_mismatch = true;
-    return stats;  // ok == false, dst untouched
+    return stats;
   }
   auto& dst_buckets = dst->MutableBuckets();
   const auto& src_buckets = src.Buckets();
@@ -102,28 +110,12 @@ MergeStats MergeBucketArrays(Sketch* dst, const Sketch& src, Rng* rng) {
   // sequence as a full walk, without a branch per empty slot.
   simd::ForEachNonZero(dst->SimdTier(), src_buckets.values(),
                        src_buckets.size(), [&](size_t i) {
-                         MergeSlot(&dst_buckets, src_buckets, i, rng, &stats);
+                         internal::MergeSlot(&dst_buckets, src_buckets, i, rng,
+                                             &stats);
                        });
   dst->MarkAllDirty();
   stats.ok = true;
   return stats;
-}
-
-}  // namespace internal
-
-// Merge `src` into `dst`. Returns stats with ok == false (and dst untouched)
-// when geometry or hash seed differ.
-template <typename Key>
-MergeStats MergeSketches(CocoSketch<Key>* dst, const CocoSketch<Key>& src,
-                         Rng* rng) {
-  return internal::MergeBucketArrays(dst, src, rng);
-}
-
-template <typename Key>
-MergeStats MergeSketches(HwCocoSketch<Key>* dst, const HwCocoSketch<Key>& src,
-                         Rng* rng) {
-  if (dst->division() != src.division()) return MergeStats{};
-  return internal::MergeBucketArrays(dst, src, rng);
 }
 
 // N-way merge for epoch publication (ovs/scaleout.h): fold every source

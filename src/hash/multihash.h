@@ -22,9 +22,9 @@
 // CocoSketch accuracy suite runs entirely on top of it.
 //
 // Slots() is the one slot derivation on every SIMD tier: the batch window
-// (core/batch_window.h) calls it once per record. The chain is a handful of
-// dependent multiplies, cheaper than the bucket misses it precedes, so a
-// lane-parallel copy of it does not pay.
+// of the bucket-sketch core (core/bucket_sketch.h) calls it once per record.
+// The chain is a handful of dependent multiplies, cheaper than the bucket
+// misses it precedes, so a lane-parallel copy of it does not pay.
 #pragma once
 
 #include <cstddef>

@@ -250,11 +250,12 @@ bool ShardCore::TryRotate(uint64_t epoch) {
   epoch_ = epoch;
   ++counts_.rotations;
   // The shard starts a fresh sketch: carry the shard's seed onto it (the
-  // spare may predate an attack rotation), and restart the checkpoint and
-  // attack baselines — the published epoch has left the worker, so no older
-  // image may be restored over the new one.
+  // spare may predate an attack rotation; Recycle already cleared it, so a
+  // reseed suffices), and restart the checkpoint and attack baselines — the
+  // published epoch has left the worker, so no older image may be restored
+  // over the new one.
   Sketch* sk = epoch_shard_->active();
-  if (sk->seed() != seed_) core::RotateSeed(sk, seed_);
+  if (sk->seed() != seed_) sk->Reseed(seed_);
   if (checkpoints_) checkpoints_->Clear();
   last_checkpoint_ = empty_since_ = applied_;
   if (monitor_) {

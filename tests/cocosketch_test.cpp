@@ -1,13 +1,20 @@
 // Tests for the basic CocoSketch (§4.1): update semantics, mass
 // conservation, the at-most-one-copy invariant, unbiasedness over partial
-// keys (Lemma 3), the recall bound (Theorem 4), heavy-hitter quality, and
-// Decode into the flat FlowTable against a std::unordered_map reference.
+// keys (Lemma 3), the recall bound (Theorem 4), heavy-hitter quality,
+// Decode into the flat FlowTable against a std::unordered_map reference, and
+// the bucket-sketch core's contract (reseed, restore, rotation, merge, Clear)
+// over both variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +22,7 @@
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
 #include "core/merge.h"
+#include "core/seed_rotation.h"
 #include "keys/key_spec.h"
 #include "keys/v6.h"
 #include "metrics/accuracy.h"
@@ -433,6 +441,186 @@ TEST(CocoSketchDecode, HwVariantMatchesScoredReference) {
     hw.SetSimdTier(t);
     ExpectTableMatches(hw.Decode(), ref, AbsentKey(ref, &rng));
   }
+}
+
+
+// --- The bucket-sketch core's contract, over both variants -----------------
+// Reseed, RestoreState, seed rotation, merge and Clear live once, in
+// core/bucket_sketch.h and its downstream headers; these tests hold every
+// variant to the same contract.
+
+struct CocoVariant {
+  using Sketch = CocoSketch<FiveTuple>;
+  static Sketch Make(uint64_t seed) { return Sketch(KiB(8), 2, seed); }
+};
+
+template <DivisionMode kMode>
+struct HwVariant {
+  using Sketch = HwCocoSketch<FiveTuple>;
+  static Sketch Make(uint64_t seed) { return Sketch(KiB(8), 2, kMode, seed); }
+};
+
+using Variants = ::testing::Types<CocoVariant, HwVariant<DivisionMode::kExact>,
+                                  HwVariant<DivisionMode::kApproximate>>;
+
+struct VariantNames {
+  template <typename T>
+  static std::string GetName(int) {
+    if constexpr (std::is_same_v<T, CocoVariant>) return "Coco";
+    if constexpr (std::is_same_v<T, HwVariant<DivisionMode::kExact>>) {
+      return "HwExact";
+    }
+    return "HwApproximate";
+  }
+};
+
+template <typename Variant>
+class BucketSketchContract : public ::testing::Test {
+ protected:
+  using Sketch = typename Variant::Sketch;
+
+  // The same skewed updates for every call with the same `stream`.
+  void Feed(Sketch* sketch, uint64_t stream) {
+    Rng rng(stream);
+    FeedSkewed(sketch, pool_, 20000, &rng);
+  }
+
+  static bool AllDirty(const Sketch& sketch) {
+    const auto& flags = sketch.DirtyFlags();
+    return !flags.empty() && std::all_of(flags.begin(), flags.end(),
+                                         [](uint8_t f) { return f == 1; });
+  }
+
+  const std::vector<FiveTuple> pool_ = [] {
+    Rng rng(21);
+    return RandomPool<FiveTuple>(2000, &rng);
+  }();
+};
+
+TYPED_TEST_SUITE(BucketSketchContract, Variants, VariantNames);
+
+TYPED_TEST(BucketSketchContract, ReseedOfClearedSketchMatchesFreshSketch) {
+  auto reseeded = TypeParam::Make(0x1111);
+  this->Feed(&reseeded, 1);
+  reseeded.Clear();
+  reseeded.Reseed(0x2222);
+  EXPECT_EQ(reseeded.seed(), 0x2222u);
+  auto fresh = TypeParam::Make(0x2222);
+  this->Feed(&reseeded, 2);
+  this->Feed(&fresh, 2);
+  EXPECT_EQ(reseeded.SerializeState(), fresh.SerializeState());
+}
+
+TYPED_TEST(BucketSketchContract, ForeignSeedRestoreMatchesFreshSketch) {
+  auto source = TypeParam::Make(0x2222);
+  this->Feed(&source, 3);
+  const auto image = source.SerializeState();
+  auto foreign = TypeParam::Make(0x1111);
+  this->Feed(&foreign, 1);
+  ASSERT_TRUE(foreign.RestoreState(image));
+  EXPECT_EQ(foreign.seed(), 0x2222u);
+  auto fresh = TypeParam::Make(0x2222);
+  ASSERT_TRUE(fresh.RestoreState(image));
+  this->Feed(&foreign, 2);
+  this->Feed(&fresh, 2);
+  EXPECT_EQ(foreign.SerializeState(), fresh.SerializeState());
+}
+
+TYPED_TEST(BucketSketchContract, SameSeedRestoreKeepsTheRng) {
+  auto sketch = TypeParam::Make(0x2222);
+  this->Feed(&sketch, 3);
+  const auto image = sketch.SerializeState();
+  auto untouched = sketch;
+  ASSERT_TRUE(sketch.RestoreState(image));
+  auto fresh = TypeParam::Make(0x2222);
+  ASSERT_TRUE(fresh.RestoreState(image));
+  this->Feed(&sketch, 2);
+  this->Feed(&untouched, 2);
+  this->Feed(&fresh, 2);
+  EXPECT_EQ(sketch.SerializeState(), untouched.SerializeState());
+  // A restarted RNG draws differently: the check above would see a reset.
+  EXPECT_NE(sketch.SerializeState(), fresh.SerializeState());
+}
+
+TYPED_TEST(BucketSketchContract, RotateSeedMatchesReplayIntoFreshSketch) {
+  auto sketch = TypeParam::Make(0x1111);
+  sketch.EnableDeltaTracking();
+  this->Feed(&sketch, 1);
+  const uint64_t mass_before = sketch.TotalValue();
+
+  // Reference rotation: replay the decode, heaviest first (key bytes break
+  // ties), into a sketch built with the new seed.
+  auto reference = TypeParam::Make(0x2222);
+  const auto table = sketch.Decode();
+  std::vector<std::pair<FiveTuple, uint64_t>> flows(table.begin(),
+                                                    table.end());
+  std::sort(flows.begin(), flows.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return std::memcmp(a.first.data(), b.first.data(), FiveTuple::kSize) < 0;
+  });
+  uint64_t replayed_mass = 0;
+  for (const auto& [key, estimate] : flows) {
+    ASSERT_LE(estimate, UINT32_MAX);
+    reference.Update(key, static_cast<uint32_t>(estimate));
+    replayed_mass += estimate;
+  }
+
+  const RotationStats stats = RotateSeed(&sketch, 0x2222);
+  EXPECT_EQ(sketch.SerializeState(), reference.SerializeState());
+  EXPECT_EQ(stats.old_seed, 0x1111u);
+  EXPECT_EQ(stats.new_seed, 0x2222u);
+  EXPECT_EQ(stats.mass_before, mass_before);
+  EXPECT_EQ(stats.mass_after, reference.TotalValue());
+  EXPECT_EQ(stats.replayed_mass, replayed_mass);
+  EXPECT_EQ(stats.flows_replayed, flows.size());
+  EXPECT_TRUE(stats.mass_conserved);
+  EXPECT_TRUE(sketch.DeltaTrackingEnabled());
+  const SketchStats got = sketch.Stats(), want = reference.Stats();
+  EXPECT_EQ(got.updates, want.updates);
+  EXPECT_EQ(got.pass1_misses, want.pass1_misses);
+  EXPECT_EQ(got.key_replacements, want.key_replacements);
+  // The RNG also continues from the same point.
+  this->Feed(&sketch, 2);
+  this->Feed(&reference, 2);
+  EXPECT_EQ(sketch.SerializeState(), reference.SerializeState());
+}
+
+TYPED_TEST(BucketSketchContract, ClearRestoreMergeAndRotationMarkEveryBucket) {
+  auto sketch = TypeParam::Make(0x1111);
+  sketch.EnableDeltaTracking();
+  this->Feed(&sketch, 1);
+  auto other = TypeParam::Make(0x1111);
+  this->Feed(&other, 2);
+
+  sketch.ClearDirtyFlags();
+  ASSERT_FALSE(this->AllDirty(sketch));
+  Rng rng(5);
+  ASSERT_TRUE(MergeSketches(&sketch, other, &rng).ok);
+  EXPECT_TRUE(this->AllDirty(sketch)) << "merge";
+
+  sketch.ClearDirtyFlags();
+  RotateSeed(&sketch, 0x2222);
+  EXPECT_TRUE(this->AllDirty(sketch)) << "rotation";
+
+  sketch.ClearDirtyFlags();
+  ASSERT_TRUE(sketch.RestoreState(other.SerializeState()));
+  EXPECT_TRUE(this->AllDirty(sketch)) << "restore";
+
+  const SketchStats before = sketch.Stats();
+  ASSERT_GT(before.updates, 0u);
+  ASSERT_GT(before.pass1_misses, 0u);
+  ASSERT_GT(before.key_replacements, 0u);
+  ASSERT_GT(before.total_value, 0u);
+  sketch.ClearDirtyFlags();
+  sketch.Clear();
+  EXPECT_TRUE(this->AllDirty(sketch)) << "clear";
+  const SketchStats after = sketch.Stats();
+  EXPECT_EQ(after.updates, 0u);
+  EXPECT_EQ(after.pass1_misses, 0u);
+  EXPECT_EQ(after.key_replacements, 0u);
+  EXPECT_EQ(after.total_value, 0u);
+  EXPECT_EQ(after.buckets_occupied, 0u);
+  EXPECT_EQ(sketch.TotalValue(), 0u);
 }
 
 }  // namespace

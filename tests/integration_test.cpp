@@ -3,6 +3,8 @@
 // check mirroring the headline comparison of §7.2.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/sizes.h"
 #include "core/cocosketch.h"
 #include "core/hw_cocosketch.h"
@@ -71,18 +73,31 @@ TEST_F(HeavyHitterEndToEnd, CocoBeatsPerKeyCountMinAtSixKeys) {
 }
 
 TEST_F(HeavyHitterEndToEnd, HwVariantWithinTenPercentOfBasic) {
-  // §7.5: removing circular dependencies costs <10% F1.
-  core::CocoSketch<FiveTuple> basic(KiB(500), 2);
-  core::HwCocoSketch<FiveTuple> hw(KiB(500), 2);
-  for (const Packet& p : trace_) {
-    basic.Update(p.key, p.weight);
-    hw.Update(p.key, p.weight);
+  // §7.5: removing circular dependencies costs <10% F1. The bound is a
+  // statement about the mean over hash seeds, not about any one seed: a
+  // single seed's gap can exceed 0.10 while the mean stays below it. So the
+  // seeds are fixed (1..16, chosen before looking) and the mean is asserted.
+  constexpr uint64_t kSeeds = 16;
+  double gap_sum = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    core::CocoSketch<FiveTuple> basic(KiB(500), 2, seed);
+    core::HwCocoSketch<FiveTuple> hw(KiB(500), 2, core::DivisionMode::kExact,
+                                     seed);
+    for (const Packet& p : trace_) {
+      basic.Update(p.key, p.weight);
+      hw.Update(p.key, p.weight);
+    }
+    const auto basic_mean = metrics::MeanAccuracy(
+        query::ScoreHeavyHittersPerKey(basic.Decode(), truth_, specs_, 1e-4));
+    const auto hw_mean = metrics::MeanAccuracy(
+        query::ScoreHeavyHittersPerKey(hw.Decode(), truth_, specs_, 1e-4));
+    const double gap = basic_mean.f1 - hw_mean.f1;
+    std::printf("seed %2llu: F1 basic %.4f hw %.4f gap %.4f\n",
+                static_cast<unsigned long long>(seed), basic_mean.f1,
+                hw_mean.f1, gap);
+    gap_sum += gap;
   }
-  const auto basic_mean = metrics::MeanAccuracy(
-      query::ScoreHeavyHittersPerKey(basic.Decode(), truth_, specs_, 1e-4));
-  const auto hw_mean = metrics::MeanAccuracy(
-      query::ScoreHeavyHittersPerKey(hw.Decode(), truth_, specs_, 1e-4));
-  EXPECT_GT(hw_mean.f1, basic_mean.f1 - 0.10);
+  EXPECT_LT(gap_sum / kSeeds, 0.10);
 }
 
 TEST(HeavyChangeEndToEnd, CocoDetectsChanges) {

@@ -322,6 +322,16 @@ TEST(ShardCore, AttackRotationSeedCarriesOntoNextEpoch) {
   EXPECT_EQ(pub.sketch->TotalValue(), first_epoch_weight);
   EXPECT_EQ(shard.active()->seed(), rotated);
   EXPECT_EQ(shard.active()->TotalValue(), 0u);
+  // The reseeded spare is indistinguishable from a sketch built with the
+  // rotated seed: same hash AND same restarted replacement RNG.
+  {
+    CocoSketch<FiveTuple> carried = *shard.active();
+    CocoSketch<FiveTuple> fresh(config.sketch_memory_bytes, config.d, rotated);
+    ASSERT_LE(5000u, trace.size());
+    carried.UpdateBatch(trace.data(), 5000);
+    fresh.UpdateBatch(trace.data(), 5000);
+    EXPECT_EQ(carried.SerializeState(), fresh.SerializeState());
+  }
   shard.Recycle(std::move(pub.sketch));
 
   Feed(&core, trace, i, trace.size(), kBatch);
