@@ -59,20 +59,14 @@ int main() {
   // Walk the prefix hierarchy: the /16 aggregate lights up.
   std::printf("\nheavy prefixes per level (>= 1%% of traffic):\n");
   for (uint8_t bits : {24, 20, 16, 12, 8}) {
-    const auto level =
-        query::Aggregate(table, keys::PrefixSpec(bits));
+    const keys::PrefixSpec spec(bits);
+    const auto level = query::Aggregate(table, spec);
     const auto heavy = query::FilterThreshold(level, threshold);
     std::printf("  /%-3u: %3zu heavy prefixes", bits, heavy.size());
     const auto top = query::TopRows(heavy, 1);
     if (!top.empty()) {
-      // Reconstruct the dotted prefix for display.
-      uint32_t addr = 0;
-      for (size_t b = 0; b < top[0].first.size(); ++b) {
-        addr |= static_cast<uint32_t>(top[0].first.data()[b])
-                << (24 - 8 * b);
-      }
       std::printf("   biggest: %s/%u with %llu pkts",
-                  Ipv4ToString(addr).c_str(), bits,
+                  spec.Unpack(top[0].first).ToString().c_str(), bits,
                   static_cast<unsigned long long>(top[0].second));
     }
     std::printf("\n");

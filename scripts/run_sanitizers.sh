@@ -20,10 +20,12 @@
 #             hash::Hash64 / MultiHash on exact-length heap buffers, the
 #             flat FlowTable's slot index and its word-level decode insert
 #             path straight from the bucket arrays, the query path's
-#             bounded top-k heap, and the bucket-sketch core under both
-#             variants' update rules and estimators (fuzz_test, hash_test,
-#             cocosketch_test, hw_cocosketch_test, query_test, sql_test plus
-#             the same seven, for free)
+#             bounded top-k heap, the bucket-sketch core under both
+#             variants' update rules and estimators, and the partial-key
+#             pack/unpack offset arithmetic and memcpy on key buffers of
+#             every full-key layout (fuzz_test, hash_test, cocosketch_test,
+#             hw_cocosketch_test, query_test, sql_test, keys_test, v6_test
+#             plus the same seven, for free)
 #
 # Usage:
 #   scripts/run_sanitizers.sh            # both presets
@@ -57,7 +59,7 @@ fi
 for p in "${presets[@]}"; do
   case "$p" in
     thread) run_preset thread ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
-    address) run_preset address fuzz_test hash_test cocosketch_test hw_cocosketch_test query_test sql_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
+    address) run_preset address fuzz_test hash_test cocosketch_test hw_cocosketch_test query_test sql_test keys_test v6_test ovs_test batch_test obs_test netwide_test simd_test adversarial_test scaleout_test ;;
     *)
       echo "unknown preset '$p' (expected: thread | address)" >&2
       exit 2

@@ -52,18 +52,21 @@ class DistinctCocoSketch {
 
   // Observes `item` under flow `key` (e.g. key = DstIP, item = SrcIP).
   void Update(const Key& key, const Item& item) {
+    // d_ >= 1 (checked at construction): the probe runs at least once, so
+    // idx[0] is always written.
     size_t idx[8];
-    for (size_t i = 0; i < d_; ++i) {
+    size_t i = 0;
+    do {
       idx[i] = Slot(i, key);
       Bucket& b = buckets_[idx[i]];
       if (b.occupied && b.key == key) {
         b.hll.AddKey(item);
         return;
       }
-    }
+    } while (++i < d_);
     size_t chosen = idx[0];
     double best = Spread(buckets_[chosen]);
-    for (size_t i = 1; i < d_; ++i) {
+    for (i = 1; i < d_; ++i) {
       const double s = Spread(buckets_[idx[i]]);
       if (s < best) {
         best = s;

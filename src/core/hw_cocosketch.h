@@ -30,12 +30,12 @@
 // payloads are up to d× larger than CocoSketch's for the same traffic.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/flow_table.h"
 #include "common/rng.h"
+#include "common/small_median.h"
 #include "core/bucket_array.h"
 #include "core/bucket_sketch.h"
 #include "hw/approx_divider.h"
@@ -93,7 +93,7 @@ class HwCocoSketch : public BucketSketch<HwCocoSketch<Key>, Key, 0x5eedf11d> {
         est[recorded++] = v;
       }
     }
-    return recorded == 0 ? 0 : Median(est, recorded);
+    return SmallMedian(est, recorded);
   }
 
   // The strict Lemma-4 median: absent arrays contribute 0. Unbiased per
@@ -109,7 +109,7 @@ class HwCocoSketch : public BucketSketch<HwCocoSketch<Key>, Key, 0x5eedf11d> {
       const uint32_t v = buckets_.Value(idx[i]);
       est[i] = (v != 0 && buckets_.KeyEquals(idx[i], probe.words)) ? v : 0;
     }
-    return Median(est, d_);
+    return SmallMedian(est, d_);
   }
 
   // Full-key flow table: every key recorded anywhere, scored by Query().
@@ -138,11 +138,6 @@ class HwCocoSketch : public BucketSketch<HwCocoSketch<Key>, Key, 0x5eedf11d> {
   using Base::rng_;
   using Base::tier_;
   using Base::updates_;
-
-  static uint64_t Median(uint64_t* v, size_t n) {
-    std::sort(v, v + n);
-    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-  }
 
   // The §4.2 per-array rule on precomputed absolute bucket indices; shared
   // by Update and UpdateBatch so the two paths cannot drift. The d key

@@ -1,68 +1,6 @@
 #include "keys/key_spec.h"
 
-#include <cstring>
-#include <numeric>
-
-#include "common/check.h"
-
 namespace coco::keys {
-
-uint16_t FieldBits(Field f) {
-  switch (f) {
-    case Field::kSrcIp:
-    case Field::kDstIp:
-      return 32;
-    case Field::kSrcPort:
-    case Field::kDstPort:
-      return 16;
-    case Field::kProto:
-      return 8;
-  }
-  return 0;
-}
-
-namespace {
-
-// Byte offset of a field inside the FiveTuple buffer.
-size_t FieldOffset(Field f) {
-  switch (f) {
-    case Field::kSrcIp:
-      return 0;
-    case Field::kDstIp:
-      return 4;
-    case Field::kSrcPort:
-      return 8;
-    case Field::kDstPort:
-      return 10;
-    case Field::kProto:
-      return 12;
-  }
-  return 0;
-}
-
-}  // namespace
-
-FieldSel::FieldSel(Field f) : field(f), prefix_bits(0) {
-  prefix_bits = static_cast<uint8_t>(FieldBits(f));
-}
-
-TupleKeySpec::TupleKeySpec(std::string name, std::vector<FieldSel> fields)
-    : name_(std::move(name)), fields_(std::move(fields)), total_bits_(0) {
-  for (const FieldSel& sel : fields_) {
-    COCO_CHECK(sel.prefix_bits <= FieldBits(sel.field),
-               "prefix longer than field");
-    total_bits_ = static_cast<uint16_t>(total_bits_ + sel.prefix_bits);
-  }
-}
-
-DynKey TupleKeySpec::Apply(const FiveTuple& full) const {
-  DynKey out;
-  BitWriter writer(out);
-  for (const FieldSel& sel : fields_) {
-    writer.Append(full.data() + FieldOffset(sel.field), sel.prefix_bits);
-  }
-  return out;
-}
 
 std::vector<TupleKeySpec> TupleKeySpec::DefaultSix() {
   return {FullTuple(), SrcDstIp(),     SrcIpSrcPort(),
@@ -104,12 +42,9 @@ TupleKeySpec TupleKeySpec::SrcIpPrefix(uint8_t bits) {
                       {FieldSel(Field::kSrcIp, bits)});
 }
 
-DynKey PrefixSpec::Apply(const IPv4Key& full) const {
-  DynKey out;
-  BitWriter writer(out);
-  writer.Append(full.data(), bits_);
-  return out;
-}
+PrefixSpec::PrefixSpec(uint8_t bits)
+    : KeySpec("SrcIP/" + std::to_string(bits),
+              {FieldSel(Field::kSrcIp, bits)}) {}
 
 std::vector<PrefixSpec> PrefixSpec::Hierarchy() {
   std::vector<PrefixSpec> levels;
@@ -120,17 +55,11 @@ std::vector<PrefixSpec> PrefixSpec::Hierarchy() {
   return levels;
 }
 
-DynKey PrefixPairSpec::Apply(const IpPairKey& full) const {
-  DynKey out;
-  BitWriter writer(out);
-  writer.Append(full.data(), src_bits_);
-  writer.Append(full.data() + 4, dst_bits_);
-  // Disambiguate (src_bits, dst_bits) pairs that share a total bit count:
-  // append the split point as an extra byte.
-  const uint8_t split = src_bits_;
-  writer.Append(&split, 8);
-  return out;
-}
+PrefixPairSpec::PrefixPairSpec(uint8_t src_bits, uint8_t dst_bits)
+    : KeySpec("(SrcIP/" + std::to_string(src_bits) + ",DstIP/" +
+                  std::to_string(dst_bits) + ")",
+              {FieldSel(Field::kSrcIp, src_bits),
+               FieldSel(Field::kDstIp, dst_bits)}) {}
 
 std::vector<PrefixPairSpec> PrefixPairSpec::Hierarchy() {
   std::vector<PrefixPairSpec> levels;

@@ -4,11 +4,11 @@
 // metrics) is key-type generic, so these definitions are all IPv6 needs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/check.h"
 #include "keys/key_spec.h"
 #include "packet/keys.h"
 
@@ -33,82 +33,43 @@ struct V6Tuple : FixedKey<37> {
   uint8_t proto() const { return bytes[36]; }
 };
 
-// Partial key of the IPv6 5-tuple: same field algebra as TupleKeySpec, with
-// prefixes up to /128 on the address fields. Produces WideDynKey (40-byte
-// capacity).
-class V6KeySpec {
+template <>
+struct KeyLayout<V6Tuple> {
+  using Packed = WideDynKey;
+  static constexpr std::array<FieldInfo, 5> kFields{{
+      {Field::kSrcIp, "SrcIP", 0, 128, true},
+      {Field::kDstIp, "DstIP", 16, 128, true},
+      {Field::kSrcPort, "SrcPort", 32, 16, false},
+      {Field::kDstPort, "DstPort", 34, 16, false},
+      {Field::kProto, "Proto", 36, 8, false},
+  }};
+};
+
+// Partial key of the IPv6 5-tuple: the same field algebra as TupleKeySpec,
+// with prefixes up to /128 on the address fields; packs into a WideDynKey
+// (40-byte capacity).
+class V6KeySpec : public KeySpec<V6Tuple> {
  public:
-  V6KeySpec(std::string name, std::vector<FieldSel> fields)
-      : name_(std::move(name)), fields_(std::move(fields)) {
-    for (FieldSel& sel : fields_) {
-      COCO_CHECK(sel.prefix_bits <= FieldBitsV6(sel.field),
-                 "prefix longer than field");
-    }
-  }
-
-  WideDynKey Apply(const V6Tuple& full) const {
-    WideDynKey out;
-    BasicBitWriter<WideDynKey> writer(out);
-    for (const FieldSel& sel : fields_) {
-      writer.Append(full.data() + FieldOffsetV6(sel.field), sel.prefix_bits);
-    }
-    return out;
-  }
-
-  const std::string& name() const { return name_; }
-
-  static uint16_t FieldBitsV6(Field f) {
-    switch (f) {
-      case Field::kSrcIp:
-      case Field::kDstIp:
-        return 128;
-      case Field::kSrcPort:
-      case Field::kDstPort:
-        return 16;
-      case Field::kProto:
-        return 8;
-    }
-    return 0;
-  }
+  using KeySpec::KeySpec;
 
   // Common specs, mirroring the IPv4 set.
   static V6KeySpec FullTuple() {
     return V6KeySpec("v6-5-tuple",
-                     {FieldSel(Field::kSrcIp, 128), FieldSel(Field::kDstIp, 128),
+                     {FieldSel(Field::kSrcIp), FieldSel(Field::kDstIp),
                       FieldSel(Field::kSrcPort), FieldSel(Field::kDstPort),
                       FieldSel(Field::kProto)});
   }
   static V6KeySpec SrcIp() {
-    return V6KeySpec("v6-SrcIP", {FieldSel(Field::kSrcIp, 128)});
+    return V6KeySpec("v6-SrcIP", {FieldSel(Field::kSrcIp)});
   }
   static V6KeySpec SrcIpPrefix(uint8_t bits) {
     return V6KeySpec("v6-SrcIP/" + std::to_string(bits),
                      {FieldSel(Field::kSrcIp, bits)});
   }
   static V6KeySpec SrcDstIp() {
-    return V6KeySpec("v6-(SrcIP,DstIP)", {FieldSel(Field::kSrcIp, 128),
-                                          FieldSel(Field::kDstIp, 128)});
+    return V6KeySpec("v6-(SrcIP,DstIP)",
+                     {FieldSel(Field::kSrcIp), FieldSel(Field::kDstIp)});
   }
-
- private:
-  static size_t FieldOffsetV6(Field f) {
-    switch (f) {
-      case Field::kSrcIp:
-        return 0;
-      case Field::kDstIp:
-        return 16;
-      case Field::kSrcPort:
-        return 32;
-      case Field::kDstPort:
-        return 34;
-      case Field::kProto:
-        return 36;
-    }
-    return 0;
-  }
-
-  std::string name_;
-  std::vector<FieldSel> fields_;
 };
 
 }  // namespace coco::keys

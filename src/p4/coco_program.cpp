@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/small_median.h"
 
 namespace coco::p4 {
 namespace {
@@ -175,10 +176,7 @@ uint64_t P4CocoSketch::Query(const FiveTuple& key) const {
     const uint64_t e = EstimateInArray(i, key, IndexOf(i, key));
     if (e != 0) est[recorded++] = e;
   }
-  if (recorded == 0) return 0;
-  std::sort(est, est + recorded);
-  return recorded % 2 == 1 ? est[recorded / 2]
-                           : (est[recorded / 2 - 1] + est[recorded / 2]) / 2;
+  return SmallMedian(est, recorded);
 }
 
 FlowTable<FiveTuple> P4CocoSketch::Decode() const {

@@ -29,9 +29,10 @@ using coco::FlowTable;
 
 // GROUP BY g(k_F) SUM(Size) over any (key, size) table (a decoded
 // FlowTable, or ExactCounter::counts()): `Spec` is any mapping exposing
-// Apply(Key) -> partial key (keys::TupleKeySpec, keys::PrefixSpec,
-// keys::V6KeySpec, ...); the output key type follows the spec. Groups come
-// out in the order the table first produces them.
+// Apply(Key) -> partial key, normally a keys::KeySpec over the table's full
+// key (TupleKeySpec, PrefixSpec, PrefixPairSpec, V6KeySpec); the output key
+// type follows the spec. Groups come out in the order the table first
+// produces them.
 template <typename Table, typename Spec>
 auto Aggregate(const Table& table, const Spec& spec) {
   using Key = typename Table::key_type;

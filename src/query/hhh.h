@@ -55,11 +55,7 @@ inline std::vector<HhhEntry> DiscountedHhh(
     std::vector<HhhEntry> found_here;
     std::vector<Selected> selected_here;
     for (const auto& [key, count] : level) {
-      // Reconstruct the prefix address from the DynKey bytes.
-      uint32_t addr = 0;
-      for (size_t b = 0; b < key.size(); ++b) {
-        addr |= static_cast<uint32_t>(key.data()[b]) << (24 - 8 * b);
-      }
+      const uint32_t addr = spec.Unpack(key).addr();  // the masked prefix
       // Discount the NEAREST already-selected HHHs contained in this prefix
       // (each descendant's mass is discounted once: via its covered flag).
       uint64_t discounted = count;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/bytes.h"
-#include "common/check.h"
 
 namespace coco::query::sql {
 namespace {
@@ -135,6 +134,12 @@ class Parser {
     if (!SameFields(stmt.fields, group_fields)) {
       return Fail("GROUP BY fields must match the selected fields");
     }
+    size_t key_bits = 0;
+    for (const keys::FieldSel& sel : stmt.fields) key_bits += sel.prefix_bits;
+    if (key_bits > DynKey::kCapacity * 8) {
+      return Fail("GROUP BY key exceeds " +
+                  std::to_string(DynKey::kCapacity * 8) + " bits");
+    }
 
     if (PeekKeyword("HAVING")) {
       Next();
@@ -232,22 +237,12 @@ class Parser {
         return false;
       }
       const std::string name = Next().text;
-      keys::Field field;
-      if (name == "SRCIP") {
-        field = keys::Field::kSrcIp;
-      } else if (name == "DSTIP") {
-        field = keys::Field::kDstIp;
-      } else if (name == "SRCPORT") {
-        field = keys::Field::kSrcPort;
-      } else if (name == "DSTPORT") {
-        field = keys::Field::kDstPort;
-      } else if (name == "PROTO") {
-        field = keys::Field::kProto;
-      } else {
+      const keys::FieldInfo* info = keys::TupleKeySpec::Find(name);
+      if (info == nullptr) {
         Fail("unknown field '" + name + "'");
         return false;
       }
-      uint8_t bits = static_cast<uint8_t>(keys::FieldBits(field));
+      uint8_t bits = info->bits;
       if (Peek().kind == TokenKind::kSlash) {
         Next();
         if (Peek().kind != TokenKind::kNumber) {
@@ -259,17 +254,17 @@ class Parser {
           Fail("number out of range");
           return false;
         }
-        if (field != keys::Field::kSrcIp && field != keys::Field::kDstIp) {
+        if (!info->prefix) {
           Fail("prefix length only valid on IP fields");
           return false;
         }
-        if (parsed > keys::FieldBits(field)) {
+        if (parsed > info->bits) {
           Fail("prefix length exceeds field width");
           return false;
         }
         bits = static_cast<uint8_t>(parsed);
       }
-      fields->push_back(keys::FieldSel(field, bits));
+      fields->push_back(keys::FieldSel(info->field, bits));
       if (Peek().kind != TokenKind::kComma) {
         if (terminated_by_sum) {
           Fail("SELECT list must end with SUM(Size)");
@@ -299,54 +294,25 @@ class Parser {
 
 // ---- Row rendering ---------------------------------------------------------
 
-// Reads `bits` bits starting at *cursor from a bit-packed DynKey, MSB-first.
-uint64_t ReadBits(const DynKey& key, uint16_t* cursor, uint16_t bits) {
-  uint64_t value = 0;
-  for (uint16_t i = 0; i < bits; ++i) {
-    const uint16_t pos = *cursor + i;
-    const int bit = (key.buf[pos / 8] >> (7 - pos % 8)) & 1;
-    value = (value << 1) | static_cast<uint64_t>(bit);
-  }
-  *cursor = static_cast<uint16_t>(*cursor + bits);
-  return value;
-}
-
-std::string FieldName(const keys::FieldSel& sel) {
-  std::string name;
-  switch (sel.field) {
-    case keys::Field::kSrcIp: name = "SrcIP"; break;
-    case keys::Field::kDstIp: name = "DstIP"; break;
-    case keys::Field::kSrcPort: name = "SrcPort"; break;
-    case keys::Field::kDstPort: name = "DstPort"; break;
-    case keys::Field::kProto: name = "Proto"; break;
-  }
-  if ((sel.field == keys::Field::kSrcIp || sel.field == keys::Field::kDstIp) &&
-      sel.prefix_bits < 32) {
-    name += "/" + std::to_string(sel.prefix_bits);
-  }
-  return name;
-}
-
-std::vector<std::string> RenderFields(const std::vector<keys::FieldSel>& sels,
+// One cell per selected field: an address as dotted decimal (with its
+// prefix length when trimmed), any other field as its unsigned value.
+std::vector<std::string> RenderFields(const keys::TupleKeySpec& spec,
                                       const DynKey& key) {
   std::vector<std::string> out;
-  out.reserve(sels.size());
-  uint16_t cursor = 0;
-  for (const keys::FieldSel& sel : sels) {
-    const uint64_t raw = ReadBits(key, &cursor, sel.prefix_bits);
-    if (sel.field == keys::Field::kSrcIp || sel.field == keys::Field::kDstIp) {
-      // Re-left-align the prefix inside 32 bits for dotted-decimal display.
-      const uint32_t addr =
-          sel.prefix_bits == 0
-              ? 0
-              : static_cast<uint32_t>(raw << (32 - sel.prefix_bits));
-      std::string text = Ipv4ToString(addr);
-      if (sel.prefix_bits < 32) {
-        text += "/" + std::to_string(sel.prefix_bits);
-      }
-      out.push_back(text);
+  out.reserve(spec.fields().size());
+  for (size_t i = 0; i < spec.fields().size(); ++i) {
+    const keys::FieldInfo& info = spec.info(i);
+    uint8_t bytes[4] = {};  // the widest FiveTuple field
+    spec.UnpackField(key, i, bytes);
+    if (info.prefix) {
+      const uint8_t bits = spec.fields()[i].prefix_bits;
+      std::string text = Ipv4ToString(LoadBE32(bytes));
+      if (bits < info.bits) text += "/" + std::to_string(bits);
+      out.push_back(std::move(text));
     } else {
-      out.push_back(std::to_string(raw));
+      uint64_t value = 0;
+      for (size_t b = 0; b < info.bits / 8u; ++b) value = value << 8 | bytes[b];
+      out.push_back(std::to_string(value));
     }
   }
   return out;
@@ -367,8 +333,8 @@ Result Execute(const Statement& statement,
   const FlowTable<DynKey> aggregated = Aggregate(table, spec);
 
   Result result;
-  for (const keys::FieldSel& sel : statement.fields) {
-    result.column_names.push_back(FieldName(sel));
+  for (size_t i = 0; i < statement.fields.size(); ++i) {
+    result.column_names.push_back(spec.Label(i));
   }
   result.column_names.push_back("SUM(Size)");
 
@@ -396,7 +362,7 @@ Result Execute(const Statement& statement,
     }
   }
   for (ResultRow& row : result.rows) {
-    row.field_text = RenderFields(statement.fields, row.key);
+    row.field_text = RenderFields(spec, row.key);
   }
   return result;
 }

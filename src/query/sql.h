@@ -12,11 +12,13 @@
 //
 //   <field> := SrcIP[/bits] | DstIP[/bits] | SrcPort | DstPort | Proto
 //
-// The selected fields must match the GROUP BY fields (that is the only
-// aggregation §4.3's queries need). Keywords are case-insensitive. The
-// executor compiles the field list to a keys::TupleKeySpec, runs the
-// aggregation over a decoded flow table, and returns displayable rows
-// (DynKeys are unpacked back into dotted-decimal / numeric field text).
+// Field names (case-insensitive, like keywords), widths and prefix rules
+// come from the FiveTuple field table (keys/key_spec.h). The selected
+// fields must match the GROUP BY fields (that is the only aggregation
+// §4.3's queries need) and fit a DynKey. The executor compiles the field
+// list to a keys::TupleKeySpec, runs the aggregation over a decoded flow
+// table, and renders rows from the spec's UnpackField: addresses in dotted
+// decimal, other fields as numbers.
 #pragma once
 
 #include <cstdint>

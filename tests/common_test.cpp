@@ -1,12 +1,15 @@
 // Unit tests for src/common: byte packing, RNG statistics, size formatting,
-// quantiles.
+// quantiles, the small-n median.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/sizes.h"
+#include "common/small_median.h"
 #include "metrics/accuracy.h"
 
 namespace coco {
@@ -155,6 +158,33 @@ TEST(MeanAccuracy, EmptyIsZero) {
   const auto mean = metrics::MeanAccuracy({});
   EXPECT_EQ(mean.recall, 0.0);
   EXPECT_EQ(mean.f1, 0.0);
+}
+
+// SmallMedian against the std::sort median it replaced, for every n <= 8:
+// random values (wide and tie-heavy), sorted and reverse-sorted inputs.
+TEST(SmallMedian, MatchesSortReferenceForEveryN) {
+  const auto reference = [](std::vector<uint64_t> v) -> uint64_t {
+    if (v.empty()) return 0;
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  };
+  Rng rng(0x3ed1a);
+  for (size_t n = 0; n <= 8; ++n) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::vector<uint64_t> v(n);
+      for (uint64_t& x : v) {
+        x = trial % 2 == 0 ? rng.Next() >> 1 : rng.NextBelow(4);
+      }
+      if (trial == 0) std::sort(v.begin(), v.end());
+      if (trial == 2) std::sort(v.rbegin(), v.rend());
+      std::vector<uint64_t> work = v;
+      ASSERT_EQ(SmallMedian(work.data(), n), reference(v))
+          << "n=" << n << " trial=" << trial;
+      std::sort(v.begin(), v.end());
+      EXPECT_EQ(work, v) << "n=" << n;  // sorted in place
+    }
+  }
 }
 
 }  // namespace

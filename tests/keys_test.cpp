@@ -1,13 +1,16 @@
 // Unit and property tests for src/packet and src/keys: key layouts, the
-// partial-key mappings g(.), bit-level packing, and the subset-sum identity
-// of Definition 1.
+// field tables, the partial-key mappings g(.) and their inverse, bit-level
+// packing, and the subset-sum identity of Definition 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "keys/key_spec.h"
+#include "keys/v6.h"
 #include "packet/keys.h"
 #include "trace/ground_truth.h"
 
@@ -15,6 +18,7 @@ namespace coco {
 namespace {
 
 using keys::Field;
+using keys::FieldInfo;
 using keys::FieldSel;
 using keys::PrefixPairSpec;
 using keys::PrefixSpec;
@@ -159,10 +163,24 @@ TEST(PrefixPairSpec, SplitPointDisambiguates) {
 // full-key counts through g must preserve total mass and satisfy
 // f(e) = sum of f(e') over g(e') = e. We validate via ExactCounter.
 
+// The default six, then specs off the byte grid and out of canonical order.
+std::vector<TupleKeySpec> SubsetSumSpecs() {
+  std::vector<TupleKeySpec> specs = TupleKeySpec::DefaultSix();
+  specs.push_back(TupleKeySpec::SrcIpPrefix(20));
+  specs.push_back(TupleKeySpec("(DstPort,SrcIP/9)",
+                               {FieldSel(Field::kDstPort),
+                                FieldSel(Field::kSrcIp, 9)}));
+  specs.push_back(TupleKeySpec("(SrcIP/13,DstIP/27,Proto)",
+                               {FieldSel(Field::kSrcIp, 13),
+                                FieldSel(Field::kDstIp, 27),
+                                FieldSel(Field::kProto)}));
+  return specs;
+}
+
 class SubsetSumIdentityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SubsetSumIdentityTest, MassIsPreservedUnderAggregation) {
-  const auto specs = TupleKeySpec::DefaultSix();
+  const auto specs = SubsetSumSpecs();
   const TupleKeySpec& spec = specs[GetParam()];
 
   Rng rng(1000 + GetParam());
@@ -193,6 +211,143 @@ TEST_P(SubsetSumIdentityTest, MassIsPreservedUnderAggregation) {
 
 INSTANTIATE_TEST_SUITE_P(AllDefaultSpecs, SubsetSumIdentityTest,
                          ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(OffGridSpecs, SubsetSumIdentityTest,
+                         ::testing::Range(6, 9));
+
+// --- The field tables and the inverse of g(.) ------------------------------
+
+TEST(KeyLayout, TablesMatchFullKeyAccessors) {
+  const FiveTuple t(0x01020304, 0x05060708, 0x090a, 0x0b0c, 0x0d);
+  const auto at = [&t](Field f) {
+    return t.data() + TupleKeySpec::Find(f)->offset;
+  };
+  EXPECT_EQ(LoadBE32(at(Field::kSrcIp)), t.src_ip());
+  EXPECT_EQ(LoadBE32(at(Field::kDstIp)), t.dst_ip());
+  EXPECT_EQ(LoadBE16(at(Field::kSrcPort)), t.src_port());
+  EXPECT_EQ(LoadBE16(at(Field::kDstPort)), t.dst_port());
+  EXPECT_EQ(*at(Field::kProto), t.proto());
+
+  uint8_t src[16], dst[16];
+  for (int i = 0; i < 16; ++i) {
+    src[i] = static_cast<uint8_t>(i + 1);
+    dst[i] = static_cast<uint8_t>(0x80 + i);
+  }
+  const keys::V6Tuple v6(src, dst, 0x1234, 0x5678, 17);
+  const auto at6 = [&v6](Field f) {
+    return v6.data() + keys::V6KeySpec::Find(f)->offset;
+  };
+  EXPECT_EQ(std::memcmp(at6(Field::kSrcIp), v6.src_ip(), 16), 0);
+  EXPECT_EQ(std::memcmp(at6(Field::kDstIp), v6.dst_ip(), 16), 0);
+  EXPECT_EQ(LoadBE16(at6(Field::kSrcPort)), v6.src_port());
+  EXPECT_EQ(LoadBE16(at6(Field::kDstPort)), v6.dst_port());
+  EXPECT_EQ(*at6(Field::kProto), v6.proto());
+  EXPECT_EQ(keys::V6KeySpec::Find(Field::kSrcIp)->bits, 128);
+
+  const IpPairKey pair(0xa1a2a3a4, 0xb1b2b3b4);
+  EXPECT_EQ(LoadBE32(pair.data() + PrefixPairSpec::Find(Field::kDstIp)->offset),
+            pair.dst());
+  EXPECT_EQ(PrefixSpec::Find(Field::kDstIp), nullptr);  // IPv4Key: one field
+
+  // Names resolve case-insensitively, as SQL writes them.
+  EXPECT_EQ(TupleKeySpec::Find("srcport"), TupleKeySpec::Find(Field::kSrcPort));
+  EXPECT_EQ(TupleKeySpec::Find("PROTO"), TupleKeySpec::Find(Field::kProto));
+  EXPECT_EQ(TupleKeySpec::Find("SrcPorts"), nullptr);
+}
+
+TEST(KeySpec, FullWidthSelectionResolvesPerLayout) {
+  EXPECT_EQ(TupleKeySpec::SrcIp().fields()[0].prefix_bits, 32);
+  EXPECT_EQ(keys::V6KeySpec::SrcIp().fields()[0].prefix_bits, 128);
+  EXPECT_EQ(keys::V6KeySpec::FullTuple().total_bits(), 296);
+  const TupleKeySpec spec("x", {FieldSel(Field::kSrcIp, 20),
+                               FieldSel(Field::kDstPort)});
+  EXPECT_EQ(spec.Label(0), "SrcIP/20");
+  EXPECT_EQ(spec.Label(1), "DstPort");
+  EXPECT_EQ(TupleKeySpec::SrcIp().Label(0), "SrcIP");  // /32 is the field
+}
+
+// The `bits` top bits of the `width`-bit big-endian field at `src`.
+std::vector<uint8_t> MaskedField(const uint8_t* src, size_t width,
+                                 size_t bits) {
+  std::vector<uint8_t> out(src, src + width / 8);
+  for (size_t b = 0; b < out.size(); ++b) {
+    const size_t keep = bits > 8 * b ? std::min<size_t>(8, bits - 8 * b) : 0;
+    out[b] &= static_cast<uint8_t>(0xff00u >> keep);
+  }
+  return out;
+}
+
+// Property: for random selections (any fields, any order, repeats, random
+// prefixes on the address fields) and random full keys, UnpackField returns
+// each selected field masked to its prefix, Unpack the masked full key, the
+// packed bits beyond total_bits() are zero, and g(Unpack(g(k))) == g(k).
+template <typename FullKey>
+void ExpectUnpackInvertsApply(uint64_t seed) {
+  using Spec = keys::KeySpec<FullKey>;
+  const auto& table = keys::KeyLayout<FullKey>::kFields;
+  Rng rng(seed);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<FieldSel> sels;
+    size_t total = 0;
+    const size_t want = 1 + rng.NextBelow(table.size() + 1);
+    for (size_t s = 0; s < want; ++s) {
+      const FieldInfo& info = table[rng.NextBelow(table.size())];
+      const size_t bits = info.prefix ? rng.NextBelow(info.bits + 1u)
+                                      : info.bits;
+      if (total + bits > Spec::Packed::kCapacity * 8) continue;
+      total += bits;
+      sels.emplace_back(info.field, static_cast<uint8_t>(bits));
+    }
+    if (sels.empty()) continue;
+    const Spec spec("random", sels);
+    ASSERT_EQ(spec.total_bits(), total);
+    for (int k = 0; k < 16; ++k) {
+      FullKey full;
+      for (uint8_t& b : full.bytes) b = static_cast<uint8_t>(rng.Next());
+      const auto packed = spec.Apply(full);
+      ASSERT_EQ(packed.bits, total);
+      for (size_t bit = total; bit < Spec::Packed::kCapacity * 8; ++bit) {
+        ASSERT_EQ((packed.buf[bit / 8] >> (7 - bit % 8)) & 1, 0)
+            << "padding bit " << bit;
+      }
+      FullKey masked;
+      for (size_t i = 0; i < sels.size(); ++i) {
+        const FieldInfo& info = spec.info(i);
+        const std::vector<uint8_t> expected =
+            MaskedField(full.data() + info.offset, info.bits,
+                        sels[i].prefix_bits);
+        std::vector<uint8_t> got(info.bits / 8);
+        spec.UnpackField(packed, i, got.data());
+        ASSERT_EQ(got, expected) << "field " << spec.Label(i);
+        for (size_t b = 0; b < expected.size(); ++b) {
+          masked.bytes[info.offset + b] |= expected[b];
+        }
+      }
+      ASSERT_TRUE(spec.Unpack(packed) == masked);
+      ASSERT_TRUE(spec.Apply(spec.Unpack(packed)) == packed);
+    }
+  }
+}
+
+TEST(KeySpec, UnpackInvertsApplyOnEveryLayout) {
+  ExpectUnpackInvertsApply<FiveTuple>(11);
+  ExpectUnpackInvertsApply<keys::V6Tuple>(12);
+  ExpectUnpackInvertsApply<IPv4Key>(13);
+  ExpectUnpackInvertsApply<IpPairKey>(14);
+}
+
+TEST(PrefixPairSpec, UnpackIgnoresSplitByte) {
+  Rng rng(15);
+  for (const PrefixPairSpec& spec : PrefixPairSpec::Hierarchy()) {
+    const IpPairKey key(static_cast<uint32_t>(rng.Next()),
+                        static_cast<uint32_t>(rng.Next()));
+    const IpPairKey back = spec.Unpack(spec.Apply(key));
+    const auto mask = [](uint8_t bits) {
+      return bits == 0 ? 0u : ~uint32_t{0} << (32 - bits);
+    };
+    ASSERT_EQ(back.src(), key.src() & mask(spec.src_bits()));
+    ASSERT_EQ(back.dst(), key.dst() & mask(spec.dst_bits()));
+  }
+}
 
 // Prefix hierarchies must nest: level (b) aggregates of level (b+1)
 // aggregates equal direct level (b) aggregates.

@@ -533,7 +533,11 @@ TEST(Datapath, KillRecoveryComposesWithEpochs) {
   // sketch and restarts the shard's checkpoint baseline, so a respawned
   // worker never restores a pre-rotation image over the new epoch. Mass
   // plus the reported loss still reconstructs the offered mass, and every
-  // epoch's sketch mass equals its writers' applied weight.
+  // epoch's sketch mass equals its writers' applied weight. How many epochs
+  // the collector closes mid-stream depends on the scheduler (a loaded host
+  // can delay it past the whole run), so only the final sweep is certain
+  // here; ShardCore.KillRecoveryComposesWithEpochs (scaleout_test) checks
+  // the rotate-kill-restore sequence itself deterministically.
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(60000);
   const auto trace = trace::GenerateTrace(config);
   ScaleoutConfig dp = Classic(2);
@@ -546,7 +550,7 @@ TEST(Datapath, KillRecoveryComposesWithEpochs) {
   const auto h = RunScaleout(dp, trace);
   EXPECT_EQ(h.kills_injected, 1u);
   EXPECT_EQ(h.restores, 1u);
-  EXPECT_GE(h.epochs.size(), 2u);
+  EXPECT_GE(h.epochs.size(), 1u);
   EXPECT_LE(h.packets_lost_estimate,
             dp.checkpoint_interval + 2 * dp.drain_batch);
   EXPECT_EQ(h.total_sketch_mass + h.packets_lost_estimate, trace.size());

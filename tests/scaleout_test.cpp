@@ -218,6 +218,64 @@ TEST(ShardCore, KillRestoreLosesAtMostOneIntervalAndOneBatch) {
             core.applied());
 }
 
+// The epoch pipeline of Datapath.KillRecoveryComposesWithEpochs, without
+// threads: epochs every 7000 packets, checkpoints every 2000, and a crash
+// 1000 packets into the fifth epoch. The crash must restore an image of the
+// running epoch (never one from before its rotation), every published epoch
+// keeps exactly its writers' weight, and published mass plus the active
+// sketch plus the reported loss is everything applied.
+TEST(ShardCore, KillRecoveryComposesWithEpochs) {
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(60000));
+  ASSERT_EQ(TraceWeight(trace), trace.size());  // unit weights
+  const size_t kBatch = 32;
+  const uint64_t kEpochPackets = 7000;
+  ScaleoutConfig config;
+  config.checkpoint_interval = 2000;
+  EpochShard<FiveTuple> shard(KiB(64), config.d, config.seed);
+  ShardCore core(config, 0, &shard, nullptr);
+  const ShardCore::Counts& c = core.counts();
+
+  uint64_t published_mass = 0;
+  uint64_t epochs = 0;
+  uint64_t epoch_start = 0;  // `applied()` at the latest rotation
+  bool killed = false;
+  for (size_t i = 0; i < trace.size(); i += kBatch) {
+    Feed(&core, trace, i, std::min(i + kBatch, trace.size()), kBatch);
+    if (!killed && epochs == 4 && core.applied() >= epoch_start + 3000) {
+      core.Restore();
+      killed = true;
+      EXPECT_EQ(c.checkpoints_rejected, 0u);
+      EXPECT_GT(c.packets_lost_estimate, 0u);
+      EXPECT_LE(c.packets_lost_estimate, config.checkpoint_interval + kBatch);
+      // An image of this epoch was restored: the loss stays below what the
+      // epoch had applied, which a pre-rotation image or a clear would lose.
+      EXPECT_LT(c.packets_lost_estimate, core.applied() - epoch_start);
+      EXPECT_EQ(core.epoch_weight(), shard.active()->TotalValue());
+      EXPECT_EQ(core.epoch_weight() + c.packets_lost_estimate,
+                core.applied() - epoch_start);
+    }
+    if (core.applied() >= (epochs + 1) * kEpochPackets) {
+      ASSERT_TRUE(core.TryRotate(++epochs));
+      auto pub = shard.TakePublished();
+      ASSERT_NE(pub.sketch, nullptr);
+      EXPECT_EQ(pub.sketch->TotalValue(), pub.applied_weight)
+          << "epoch " << epochs;
+      published_mass += pub.applied_weight;
+      shard.Recycle(std::move(pub.sketch));
+      epoch_start = core.applied();
+    }
+  }
+  ASSERT_TRUE(killed);
+  EXPECT_EQ(epochs, trace.size() / kEpochPackets);
+  EXPECT_EQ(c.rotations, epochs);
+  EXPECT_EQ(core.epoch_weight(), shard.active()->TotalValue());
+  EXPECT_EQ(published_mass + shard.active()->TotalValue() +
+                c.packets_lost_estimate,
+            core.applied());
+  EXPECT_EQ(core.applied(), trace.size());
+}
+
 TEST(ShardCore, CorruptNewestImageFallsBackToOlder) {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(12345));

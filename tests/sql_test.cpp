@@ -85,6 +85,21 @@ TEST(SqlParse, RejectsOversizedPrefix) {
   EXPECT_NE(error.find("exceeds"), std::string::npos);
 }
 
+TEST(SqlParse, RejectsKeyWiderThanDynKey) {
+  // Five full addresses are 160 bits; a DynKey holds 128. Field names are
+  // case-insensitive, like keywords.
+  const std::string fields = "SrcIP, DstIP, srcip, dstip, SRCIP";
+  std::string error;
+  EXPECT_FALSE(Parse("SELECT " + fields + ", SUM(Size) FROM t GROUP BY " +
+                         fields,
+                     &error));
+  EXPECT_NE(error.find("128 bits"), std::string::npos) << error;
+  EXPECT_TRUE(Parse("SELECT srcip, DstIP, SrcIP, dstip, SUM(Size) FROM t "
+                    "GROUP BY SrcIP, DstIP, SrcIP, DstIP",
+                    &error))
+      << error;  // exactly 128 bits
+}
+
 TEST(SqlParse, RejectsMissingSum) {
   std::string error;
   EXPECT_FALSE(Parse("SELECT SrcIP FROM t GROUP BY SrcIP", &error));
@@ -297,6 +312,66 @@ TEST(SqlFormat, ProducesAlignedTable) {
   EXPECT_NE(text.find("1041"), std::string::npos);
   // Header + 3 rows = 4 lines.
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+}
+
+// Every rendered row reads exactly as one of its group's full keys would:
+// the address masked to the prefix in dotted decimal (with "/n" when
+// trimmed), ports and protocol as numbers.
+TEST(SqlExecute, RenderedRowsMatchAMemberFullKey) {
+  Rng rng(0x7e47);
+  FlowTable<FiveTuple> table;
+  for (int i = 0; i < 4000; ++i) {
+    const uint32_t src =
+        0x0a000000u | static_cast<uint32_t>(rng.NextBelow(1 << 14));
+    const FiveTuple key(src, rng.Next32(),
+                        static_cast<uint16_t>(rng.NextBelow(40)),
+                        static_cast<uint16_t>(rng.Next32()),
+                        static_cast<uint8_t>(rng.NextBelow(3) * 6));
+    table[key] += 1 + rng.NextBelow(9);
+  }
+  // The reference reads the full key through its accessors only.
+  const auto field_text = [](const FiveTuple& k, const keys::FieldSel& sel) {
+    const bool src = sel.field == keys::Field::kSrcIp;
+    if (src || sel.field == keys::Field::kDstIp) {
+      const uint32_t mask =
+          sel.prefix_bits == 0 ? 0u : ~uint32_t{0} << (32 - sel.prefix_bits);
+      std::string text = Ipv4ToString((src ? k.src_ip() : k.dst_ip()) & mask);
+      if (sel.prefix_bits < 32) text += "/" + std::to_string(sel.prefix_bits);
+      return text;
+    }
+    if (sel.field == keys::Field::kSrcPort) return std::to_string(k.src_port());
+    if (sel.field == keys::Field::kDstPort) return std::to_string(k.dst_port());
+    return std::to_string(k.proto());
+  };
+  for (const char* fields :
+       {"SrcIP", "SrcIP/24, DstPort", "DstIP/13, SrcPort, Proto",
+        "SrcPort, SrcIP/7, DstIP/31", "DstIP/0", "SrcIP, DstIP, SrcPort, "
+        "DstPort, Proto", "Proto, SrcIP/1"}) {
+    const std::string text = std::string("SELECT ") + fields +
+                             ", SUM(Size) FROM flows GROUP BY " + fields +
+                             " ORDER BY SUM(Size) DESC LIMIT 25";
+    std::string error;
+    const auto statement = Parse(text, &error);
+    ASSERT_TRUE(statement.has_value()) << error;
+    const Result result = Execute(*statement, table);
+    ASSERT_FALSE(result.rows.empty()) << text;
+    const keys::TupleKeySpec spec("sql", statement->fields);
+    for (const ResultRow& row : result.rows) {
+      const FiveTuple* member = nullptr;
+      for (const auto& [key, size] : table) {
+        if (spec.Apply(key) == row.key) {
+          member = &key;
+          break;
+        }
+      }
+      ASSERT_NE(member, nullptr) << text;
+      ASSERT_EQ(row.field_text.size(), statement->fields.size());
+      for (size_t c = 0; c < statement->fields.size(); ++c) {
+        EXPECT_EQ(row.field_text[c], field_text(*member, statement->fields[c]))
+            << text << " column " << result.column_names[c];
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // identity, and an end-to-end CocoSketch over the 296-bit full key.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "common/rng.h"
 #include "common/sizes.h"
 #include "core/cocosketch.h"
@@ -51,6 +53,22 @@ TEST(V6KeySpec, PrefixMasksAddress) {
   EXPECT_EQ(k.buf[6], 0x00);     // bits beyond /48 dropped
 }
 
+TEST(V6KeySpec, NonByteAlignedPrefixMasksWithinByte) {
+  const V6Tuple t = MakeV6(~0ULL, ~0ULL, 0, 1, 2);
+  const WideDynKey k = V6KeySpec::SrcIpPrefix(127).Apply(t);
+  EXPECT_EQ(k.bits, 127);
+  EXPECT_EQ(k.data()[0], 0xff);
+  EXPECT_EQ(k.data()[15], 0xfe);  // the last address bit is dropped
+  const WideDynKey port = V6KeySpec("v6-(SrcIP/4,DstPort)",
+                                    {FieldSel(Field::kSrcIp, 4),
+                                     FieldSel(Field::kDstPort)})
+                              .Apply(MakeV6(~0ULL, 0, 0, 0, 0xabcd));
+  EXPECT_EQ(port.bits, 20);
+  EXPECT_EQ(port.data()[0], 0xfa);  // 1111 then the port's top nibble
+  EXPECT_EQ(port.data()[1], 0xbc);
+  EXPECT_EQ(port.data()[2], 0xd0);
+}
+
 TEST(V6KeySpec, SubsetSumIdentity) {
   Rng rng(1);
   trace::ExactCounter<V6Tuple> full;
@@ -62,10 +80,23 @@ TEST(V6KeySpec, SubsetSumIdentity) {
   }
   for (const auto& spec :
        {V6KeySpec::SrcIp(), V6KeySpec::SrcDstIp(), V6KeySpec::SrcIpPrefix(48),
-        V6KeySpec::SrcIpPrefix(64)}) {
+        V6KeySpec::SrcIpPrefix(64), V6KeySpec::SrcIpPrefix(1),
+        V6KeySpec::SrcIpPrefix(127),
+        V6KeySpec("v6-(DstIP/33,SrcPort,Proto)",
+                  {FieldSel(Field::kDstIp, 33), FieldSel(Field::kSrcPort),
+                   FieldSel(Field::kProto)})}) {
     const auto partial = full.Aggregate(spec);
     EXPECT_EQ(partial.Total(), full.Total()) << spec.name();
     EXPECT_LE(partial.DistinctFlows(), full.DistinctFlows());
+    // Per-key identity: every full key lands in the group of its own g(.).
+    std::unordered_map<WideDynKey, uint64_t> recomputed;
+    for (const auto& [key, count] : full.counts()) {
+      recomputed[spec.Apply(key)] += count;
+    }
+    EXPECT_EQ(recomputed.size(), partial.DistinctFlows()) << spec.name();
+    for (const auto& [key, count] : recomputed) {
+      EXPECT_EQ(partial.Count(key), count) << spec.name();
+    }
   }
 }
 
