@@ -15,29 +15,20 @@ int main() {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(BenchPackets()));
   const auto truth = trace::CountTrace(trace);
+  const auto exact = query::PartialKeyTruth(truth, specs);
   const uint64_t threshold =
-      static_cast<uint64_t>(fraction * static_cast<double>(truth.Total()));
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf("Ablation: sampling front-end on CocoSketch (%zu pkts, %s)\n",
               trace.size(), FormatBytes(memory).c_str());
   std::printf("%-8s %10s %10s %10s\n", "p", "Mpps", "F1", "ARE");
 
   for (double p : {1.0, 0.5, 0.25, 0.1, 0.05}) {
-    auto sketch =
-        std::make_shared<core::SampledCocoSketch<FiveTuple>>(memory, p, 2);
-    const double mpps = metrics::MeasureThroughput(
-        trace, [sketch](const Packet& pk) { sketch->Update(pk.key, pk.weight); },
-        [sketch] { sketch->Clear(); }, 3);
-
-    sketch->Clear();
-    for (const Packet& pk : trace) sketch->Update(pk.key, pk.weight);
-    const auto decoded = sketch->Decode();
-    std::vector<metrics::Accuracy> scores;
-    for (const auto& spec : specs) {
-      const auto exact = truth.Aggregate(spec);
-      scores.push_back(metrics::ScoreThreshold(
-          query::Aggregate(decoded, spec), exact.counts(), threshold));
-    }
-    const auto mean = metrics::MeanAccuracy(scores);
+    auto sol = MakeFullKey<core::SampledCocoSketch<FiveTuple>>(
+        "Sampled", memory, specs, p, 2);
+    const double mpps =
+        metrics::MeasureThroughput(trace, sol.update, sol.reset, 3);
+    const auto mean =
+        metrics::MeanAccuracy(RunHeavyHitters(sol, trace, exact, threshold));
     std::printf("%-8.2f %10.2f %10.4f %10.4f\n", p, mpps, mean.f1, mean.are);
   }
 

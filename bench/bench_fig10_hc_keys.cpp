@@ -7,26 +7,6 @@
 using namespace coco;
 using namespace coco::bench;
 
-namespace {
-
-// Builds the heavy-change roster: same algorithms as Fig. 10.
-std::vector<Solution> MakeRoster(size_t memory,
-                                 const std::vector<keys::TupleKeySpec>& specs,
-                                 uint64_t salt) {
-  std::vector<Solution> roster;
-  roster.push_back(MakeCoco(memory, specs, 2, 0xc0c0 ^ salt));
-  roster.push_back(MakePerKey<sketch::CHeap<DynKey>>("C-Heap", memory, specs));
-  roster.push_back(
-      MakePerKey<sketch::CmHeap<DynKey>>("CM-Heap", memory, specs));
-  roster.push_back(
-      MakePerKey<sketch::ElasticSketch<DynKey>>("Elastic", memory, specs));
-  roster.push_back(
-      MakePerKey<sketch::UnivMon<DynKey>>("UnivMon", memory, specs));
-  return roster;
-}
-
-}  // namespace
-
 int main() {
   const auto all_specs = keys::TupleKeySpec::DefaultSix();
   const size_t memory = KiB(500);
@@ -36,6 +16,10 @@ int main() {
       trace::TraceConfig::CaidaLike(BenchPackets()), 0.4);
   const auto truth_before = trace::CountTrace(pair.before);
   const auto truth_after = trace::CountTrace(pair.after);
+  const auto change_truth =
+      query::ChangeTruth(truth_before, truth_after, all_specs);
+  const uint64_t threshold = query::HeavyChangeThreshold(
+      truth_before.Total(), truth_after.Total(), fraction);
   std::printf(
       "Figure 10: heavy changes vs number of keys (CAIDA-like, 2 x %zu pkts, "
       "%s)\n",
@@ -47,32 +31,12 @@ int main() {
   for (size_t nkeys = 1; nkeys <= all_specs.size(); ++nkeys) {
     const std::vector<keys::TupleKeySpec> specs(all_specs.begin(),
                                                 all_specs.begin() + nkeys);
-    auto roster_before = MakeRoster(memory, specs, 1);
-    auto roster_after = MakeRoster(memory, specs, 2);
+    auto roster_before = MakeHeavyChangeRoster(memory, specs, 0xc0c0 ^ 1);
+    auto roster_after = MakeHeavyChangeRoster(memory, specs, 0xc0c0 ^ 2);
     for (size_t a = 0; a < roster_before.size(); ++a) {
-      roster_before[a].reset();
-      roster_after[a].reset();
-      for (const Packet& p : pair.before) roster_before[a].update(p);
-      for (const Packet& p : pair.after) roster_after[a].update(p);
-
-      const uint64_t threshold = static_cast<uint64_t>(
-          fraction * 0.5 *
-          static_cast<double>(truth_before.Total() + truth_after.Total()));
-      std::vector<metrics::Accuracy> scores;
-      for (size_t i = 0; i < specs.size(); ++i) {
-        const auto est_diff = query::AbsDiff(roster_before[a].table(i),
-                                             roster_after[a].table(i));
-        const auto exact_before = truth_before.Aggregate(specs[i]);
-        const auto exact_after = truth_after.Aggregate(specs[i]);
-        std::unordered_map<DynKey, uint64_t> exact_diff;
-        for (const auto& [key, diff] :
-             exact_before.HeavyChanges(exact_after, 1)) {
-          exact_diff.emplace(key, diff);
-        }
-        scores.push_back(
-            metrics::ScoreThreshold(est_diff, exact_diff, threshold));
-      }
-      const auto mean = metrics::MeanAccuracy(scores);
+      const auto mean = metrics::MeanAccuracy(RunHeavyChanges(
+          roster_before[a], roster_after[a], pair,
+          SpecTruth(change_truth).first(nkeys), threshold));
       if (nkeys == 1) {
         names.push_back(roster_before[a].name);
         recall.emplace_back();

@@ -17,8 +17,9 @@ int main() {
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(BenchPackets()));
   trace::ExactCounter<IPv4Key> truth;
   for (const Packet& p : packets) truth.Add(IPv4Key(p.key.src_ip()), p.weight);
+  const auto exact = query::PartialKeyTruth(truth, levels);
   const uint64_t threshold =
-      static_cast<uint64_t>(fraction * static_cast<double>(truth.Total()));
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf("Figure 11: 1-d HHH (33 levels) vs memory, %zu pkts\n",
               packets.size());
 
@@ -30,18 +31,11 @@ int main() {
       coco.Update(IPv4Key(p.key.src_ip()), p.weight);
       rhhh.Update(IPv4Key(p.key.src_ip()), p.weight);
     }
-    const auto coco_table = coco.Decode();
-    std::vector<metrics::Accuracy> cs, rs;
-    for (size_t level = 0; level < levels.size(); ++level) {
-      const auto exact = truth.Aggregate(levels[level]);
-      cs.push_back(metrics::ScoreThreshold(
-          query::Aggregate(coco_table, levels[level]), exact.counts(),
-          threshold));
-      rs.push_back(metrics::ScoreThreshold(rhhh.DecodeLevel(level),
-                                           exact.counts(), threshold));
-    }
-    const auto cm = metrics::MeanAccuracy(cs);
-    const auto rm = metrics::MeanAccuracy(rs);
+    const auto cm = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+        exact, threshold, query::GroupedBy(coco.Decode(), levels)));
+    const auto rm = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+        exact, threshold,
+        [&](size_t level) { return rhhh.DecodeLevel(level); }));
     coco_f1.push_back(cm.f1);
     coco_are.push_back(cm.are);
     rhhh_f1.push_back(rm.f1);

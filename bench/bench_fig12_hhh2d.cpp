@@ -31,8 +31,9 @@ int main() {
   for (const Packet& p : packets) {
     truth.Add(IpPairKey(p.key.src_ip(), p.key.dst_ip()), p.weight);
   }
+  const auto exact = query::PartialKeyTruth(truth, scored);
   const uint64_t threshold =
-      static_cast<uint64_t>(fraction * static_cast<double>(truth.Total()));
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf(
       "Figure 12: 2-d HHH (1089 levels measured, %zu scored) vs memory, "
       "%zu pkts\n",
@@ -47,21 +48,15 @@ int main() {
       coco.Update(key, p.weight);
       rhhh.Update(key, p.weight);
     }
-    const auto coco_table = coco.Decode();
-    std::vector<metrics::Accuracy> cs, rs;
-    for (const auto& spec : scored) {
-      // Locate this spec's index in the full hierarchy for R-HHH decoding.
-      const size_t index =
-          static_cast<size_t>(32 - spec.src_bits()) * 33 +
-          static_cast<size_t>(32 - spec.dst_bits());
-      const auto exact = truth.Aggregate(spec);
-      cs.push_back(metrics::ScoreThreshold(query::Aggregate(coco_table, spec),
-                                           exact.counts(), threshold));
-      rs.push_back(metrics::ScoreThreshold(rhhh.DecodeLevel(index),
-                                           exact.counts(), threshold));
-    }
-    const auto cm = metrics::MeanAccuracy(cs);
-    const auto rm = metrics::MeanAccuracy(rs);
+    const auto cm = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+        exact, threshold, query::GroupedBy(coco.Decode(), scored)));
+    // R-HHH decodes a scored spec at its index in the full hierarchy.
+    const auto rm = metrics::MeanAccuracy(
+        query::ScoreHeavyHitters(exact, threshold, [&](size_t j) {
+          return rhhh.DecodeLevel(
+              static_cast<size_t>(32 - scored[j].src_bits()) * 33 +
+              static_cast<size_t>(32 - scored[j].dst_bits()));
+        }));
     coco_f1.push_back(cm.f1);
     coco_are.push_back(cm.are);
     rhhh_f1.push_back(rm.f1);

@@ -14,6 +14,9 @@ int main() {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::MawiLike(BenchPackets()));
   const auto truth = trace::CountTrace(trace);
+  const auto exact = query::PartialKeyTruth(truth, all_specs);
+  const uint64_t hh_threshold =
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf("Figure 13: MAWI-like trace, %zu pkts, %s total memory\n",
               trace.size(), FormatBytes(memory).c_str());
 
@@ -25,7 +28,8 @@ int main() {
     auto roster = MakeHeavyHitterRoster(memory, specs);
     for (size_t a = 0; a < roster.size(); ++a) {
       const auto mean = metrics::MeanAccuracy(
-          RunHeavyHitters(roster[a], trace, truth, specs, fraction));
+          RunHeavyHitters(roster[a], trace, SpecTruth(exact).first(nkeys),
+                          hh_threshold));
       if (nkeys == 1) {
         names.push_back(roster[a].name);
         hh_f1.emplace_back();
@@ -43,47 +47,22 @@ int main() {
       trace::TraceConfig::MawiLike(BenchPackets()), 0.4);
   const auto truth_before = trace::CountTrace(pair.before);
   const auto truth_after = trace::CountTrace(pair.after);
+  const auto change_truth =
+      query::ChangeTruth(truth_before, truth_after, all_specs);
+  const uint64_t hc_threshold = query::HeavyChangeThreshold(
+      truth_before.Total(), truth_after.Total(), fraction);
 
   std::vector<std::string> hc_names;
   std::vector<std::vector<double>> hc_f1;
   for (size_t nkeys = 1; nkeys <= all_specs.size(); ++nkeys) {
     const std::vector<keys::TupleKeySpec> specs(all_specs.begin(),
                                                 all_specs.begin() + nkeys);
-    // Fig. 13(b) roster: Ours + sketch-heap family (as in Fig. 10).
-    std::vector<Solution> before, after;
-    auto add = [&](Solution b, Solution a) {
-      before.push_back(std::move(b));
-      after.push_back(std::move(a));
-    };
-    add(MakeCoco(memory, specs, 2, 1), MakeCoco(memory, specs, 2, 2));
-    add(MakePerKey<sketch::CHeap<DynKey>>("C-Heap", memory, specs),
-        MakePerKey<sketch::CHeap<DynKey>>("C-Heap", memory, specs));
-    add(MakePerKey<sketch::CmHeap<DynKey>>("CM-Heap", memory, specs),
-        MakePerKey<sketch::CmHeap<DynKey>>("CM-Heap", memory, specs));
-    add(MakePerKey<sketch::ElasticSketch<DynKey>>("Elastic", memory, specs),
-        MakePerKey<sketch::ElasticSketch<DynKey>>("Elastic", memory, specs));
-    add(MakePerKey<sketch::UnivMon<DynKey>>("UnivMon", memory, specs),
-        MakePerKey<sketch::UnivMon<DynKey>>("UnivMon", memory, specs));
-
-    const uint64_t threshold = static_cast<uint64_t>(
-        fraction * 0.5 *
-        static_cast<double>(truth_before.Total() + truth_after.Total()));
+    auto before = MakeHeavyChangeRoster(memory, specs, 1);
+    auto after = MakeHeavyChangeRoster(memory, specs, 2);
     for (size_t a = 0; a < before.size(); ++a) {
-      for (const Packet& p : pair.before) before[a].update(p);
-      for (const Packet& p : pair.after) after[a].update(p);
-      std::vector<metrics::Accuracy> scores;
-      for (size_t i = 0; i < specs.size(); ++i) {
-        const auto est_diff =
-            query::AbsDiff(before[a].table(i), after[a].table(i));
-        std::unordered_map<DynKey, uint64_t> exact_diff;
-        for (const auto& [key, diff] : truth_before.Aggregate(specs[i])
-                 .HeavyChanges(truth_after.Aggregate(specs[i]), 1)) {
-          exact_diff.emplace(key, diff);
-        }
-        scores.push_back(
-            metrics::ScoreThreshold(est_diff, exact_diff, threshold));
-      }
-      const auto mean = metrics::MeanAccuracy(scores);
+      const auto mean = metrics::MeanAccuracy(
+          RunHeavyChanges(before[a], after[a], pair,
+                          SpecTruth(change_truth).first(nkeys), hc_threshold));
       if (nkeys == 1) {
         hc_names.push_back(before[a].name);
         hc_f1.emplace_back();

@@ -14,6 +14,9 @@ int main() {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(BenchPackets()));
   const auto truth = trace::CountTrace(trace);
+  const auto exact = query::PartialKeyTruth(truth, specs);
+  const uint64_t threshold =
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf("Figure 16: varying d in basic CocoSketch (%zu pkts, %s)\n",
               trace.size(), FormatBytes(memory).c_str());
 
@@ -23,7 +26,7 @@ int main() {
   for (size_t d = 1; d <= 6; ++d) {
     auto sol = MakeCoco(memory, specs, d);
     const auto mean = metrics::MeanAccuracy(
-        RunHeavyHitters(sol, trace, truth, specs, fraction));
+        RunHeavyHitters(sol, trace, exact, threshold));
     const double mpps = metrics::MeasureThroughput(
         trace, [&sol](const Packet& p) { sol.update(p); },
         [&sol] { sol.reset(); }, 5);
@@ -35,9 +38,10 @@ int main() {
   // USS = CocoSketch with d == number of buckets (its accuracy limit), run
   // through the optimized USS implementation.
   {
-    auto sol = MakeUss(memory, specs);
+    auto sol = MakeFullKey<sketch::UnbiasedSpaceSaving<FiveTuple>>(
+        "USS", memory, specs);
     const auto mean = metrics::MeanAccuracy(
-        RunHeavyHitters(sol, trace, truth, specs, fraction));
+        RunHeavyHitters(sol, trace, exact, threshold));
     // Throughput of USS at the same BUCKET COUNT as CocoSketch (so the
     // figure isolates the d effect, not the memory-overhead effect).
     const size_t same_buckets_mem =

@@ -14,22 +14,25 @@ int main() {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(BenchPackets()));
   const auto truth = trace::CountTrace(trace);
+  const auto exact = query::PartialKeyTruth(truth, specs);
+  const uint64_t threshold =
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf("Figure 18(a): CocoSketch versions vs memory (%zu pkts)\n",
               trace.size());
 
   std::vector<double> basic_f1, fpga_f1, p4_f1;
   for (size_t mem : memories) {
     auto basic = MakeCoco(mem, specs);
-    auto fpga = MakeHwCoco(mem, specs, 2, core::DivisionMode::kExact, 0xc0c1,
-                           "FPGA");
-    auto p4 = MakeHwCoco(mem, specs, 2, core::DivisionMode::kApproximate,
-                         0xc0c1, "P4");
+    auto fpga = MakeFullKey<core::HwCocoSketch<FiveTuple>>(
+        "FPGA", mem, specs, 2, core::DivisionMode::kExact, 0xc0c1);
+    auto p4 = MakeFullKey<core::HwCocoSketch<FiveTuple>>(
+        "P4", mem, specs, 2, core::DivisionMode::kApproximate, 0xc0c1);
     basic_f1.push_back(metrics::MeanAccuracy(
-        RunHeavyHitters(basic, trace, truth, specs, fraction)).f1);
+        RunHeavyHitters(basic, trace, exact, threshold)).f1);
     fpga_f1.push_back(metrics::MeanAccuracy(
-        RunHeavyHitters(fpga, trace, truth, specs, fraction)).f1);
+        RunHeavyHitters(fpga, trace, exact, threshold)).f1);
     p4_f1.push_back(metrics::MeanAccuracy(
-        RunHeavyHitters(p4, trace, truth, specs, fraction)).f1);
+        RunHeavyHitters(p4, trace, exact, threshold)).f1);
   }
 
   PrintHeader("Fig 18(a): F1 Score vs memory (KB)");

@@ -8,32 +8,13 @@
 //               flows recorded in the heavy part.
 //   Full      — one full-key Elastic; /24 recovered by querying ALL 256
 //               possible full keys under each prefix and summing.
-#include <cmath>
-
 #include "harness.h"
 
 using namespace coco;
 using namespace coco::bench;
 
-namespace {
-
-template <typename Estimates>
-double Are(const Estimates& est, const trace::ExactCounter<DynKey>& exact) {
-  double sum = 0;
-  for (const auto& [key, true_size] : exact.counts()) {
-    auto it = est.find(key);
-    const uint64_t e = it == est.end() ? 0 : it->second;
-    sum += std::abs(static_cast<double>(e) - static_cast<double>(true_size)) /
-           static_cast<double>(true_size);
-  }
-  return sum / static_cast<double>(exact.DistinctFlows());
-}
-
-}  // namespace
-
 int main() {
   const size_t memory = MiB(6);
-  const keys::PrefixSpec full_spec(32), partial_spec(24);
 
   // This experiment needs a wide, lightly clustered SrcIP population (the
   // paper's CAIDA slice has ~10^6 sources): with few sources the "Full"
@@ -51,28 +32,34 @@ int main() {
   const auto packets = trace::GenerateTrace(config);
   trace::ExactCounter<IPv4Key> truth;
   for (const Packet& p : packets) truth.Add(IPv4Key(p.key.src_ip()), p.weight);
-  const auto exact32 = truth.Aggregate(full_spec);
-  const auto exact24 = truth.Aggregate(partial_spec);
+  const std::vector<keys::PrefixSpec> specs = {keys::PrefixSpec(32),
+                                                keys::PrefixSpec(24)};
+  const keys::PrefixSpec& full_spec = specs[0];
+  const keys::PrefixSpec& partial_spec = specs[1];
+  // ARE over all distinct flows: every true flow meets threshold 1.
+  const auto exact = query::PartialKeyTruth(truth, specs);
+  const auto are = [&](auto&& table_for) {
+    const auto scores = query::ScoreHeavyHitters(exact, 1, table_for);
+    return std::pair{scores[0].are, scores[1].are};
+  };
   std::printf(
       "Figure 18(b): full-key strawmen, %zu pkts, %s, %zu /32 flows, %zu /24 "
       "flows\n",
-      packets.size(), FormatBytes(memory).c_str(), exact32.DistinctFlows(),
-      exact24.DistinctFlows());
+      packets.size(), FormatBytes(memory).c_str(), exact[0].DistinctFlows(),
+      exact[1].DistinctFlows());
 
   // --- Ours: one CocoSketch on the full key -------------------------------
-  double ours32, ours24;
+  std::pair<double, double> ours;
   {
     core::CocoSketch<IPv4Key> coco(memory, 2);
     for (const Packet& p : packets) {
       coco.Update(IPv4Key(p.key.src_ip()), p.weight);
     }
-    const auto table = coco.Decode();
-    ours32 = Are(query::Aggregate(table, full_spec), exact32);
-    ours24 = Are(query::Aggregate(table, partial_spec), exact24);
+    ours = are(query::GroupedBy(coco.Decode(), specs));
   }
 
   // --- 2*Elastic: one sketch per key ---------------------------------------
-  double twoe32, twoe24;
+  std::pair<double, double> twoe;
   {
     sketch::ElasticSketch<DynKey> e32(memory / 2), e24(memory / 2);
     for (const Packet& p : packets) {
@@ -80,20 +67,18 @@ int main() {
       e32.Update(full_spec.Apply(key), p.weight);
       e24.Update(partial_spec.Apply(key), p.weight);
     }
-    twoe32 = Are(e32.Decode(), exact32);
-    twoe24 = Are(e24.Decode(), exact24);
+    twoe = are([&](size_t i) { return (i == 0 ? e32 : e24).Decode(); });
   }
 
   // --- Lossy & Full: one full-key Elastic ----------------------------------
-  double lossy32, lossy24, full32, full24;
+  // On the full key both recover the same estimates: the decode.
+  std::pair<double, double> lossy, full;
   {
     sketch::ElasticSketch<DynKey> elastic(memory);
     for (const Packet& p : packets) {
       elastic.Update(full_spec.Apply(IPv4Key(p.key.src_ip())), p.weight);
     }
     const auto decoded = elastic.Decode();
-    lossy32 = Are(decoded, exact32);
-    full32 = lossy32;  // on the full key both recover the same estimates
 
     // Lossy: aggregate only the recorded flows.
     std::unordered_map<DynKey, uint64_t> lossy_partial;
@@ -101,11 +86,13 @@ int main() {
       IPv4Key addr(LoadBE32(key.data()));
       lossy_partial[partial_spec.Apply(addr)] += est;
     }
-    lossy24 = Are(lossy_partial, exact24);
+    lossy = are([&](size_t i) -> const auto& {
+      return i == 0 ? decoded : lossy_partial;
+    });
 
     // Full: for each true /24, query all 256 host extensions.
     std::unordered_map<DynKey, uint64_t> full_partial;
-    for (const auto& [prefix, true_size] : exact24.counts()) {
+    for (const auto& [prefix, true_size] : exact[1].counts()) {
       const uint32_t base = static_cast<uint32_t>(LoadBE32(prefix.buf.data()));
       uint64_t sum = 0;
       for (uint32_t host = 0; host < 256; ++host) {
@@ -113,15 +100,17 @@ int main() {
       }
       full_partial[prefix] = sum;
     }
-    full24 = Are(full_partial, exact24);
+    full = are([&](size_t i) -> const auto& {
+      return i == 0 ? decoded : full_partial;
+    });
   }
 
   PrintHeader("Fig 18(b): ARE on full key (/32) and partial key (/24)");
   std::printf("%-12s %10s %10s\n", "solution", "32-bit", "24-bit");
-  std::printf("%-12s %10.4f %10.4f\n", "Ours", ours32, ours24);
-  std::printf("%-12s %10.4f %10.4f\n", "2*Elastic", twoe32, twoe24);
-  std::printf("%-12s %10.4f %10.4f\n", "Lossy", lossy32, lossy24);
-  std::printf("%-12s %10.4f %10.4f\n", "Full", full32, full24);
+  std::printf("%-12s %10.4f %10.4f\n", "Ours", ours.first, ours.second);
+  std::printf("%-12s %10.4f %10.4f\n", "2*Elastic", twoe.first, twoe.second);
+  std::printf("%-12s %10.4f %10.4f\n", "Lossy", lossy.first, lossy.second);
+  std::printf("%-12s %10.4f %10.4f\n", "Full", full.first, full.second);
 
   std::printf(
       "\nExpected shape (paper): Ours accurate on BOTH keys (<0.02) while "

@@ -14,6 +14,9 @@ int main() {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(BenchPackets()));
   const auto truth = trace::CountTrace(trace);
+  const auto exact = query::PartialKeyTruth(truth, all_specs);
+  const uint64_t threshold =
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf(
       "Figure 8: heavy hitters vs number of keys (CAIDA-like, %zu pkts, "
       "%s, threshold=1e-4)\n",
@@ -28,9 +31,8 @@ int main() {
                                                 all_specs.begin() + nkeys);
     auto roster = MakeHeavyHitterRoster(memory, specs);
     for (size_t a = 0; a < roster.size(); ++a) {
-      const auto scores =
-          RunHeavyHitters(roster[a], trace, truth, specs, fraction);
-      const auto mean = metrics::MeanAccuracy(scores);
+      const auto mean = metrics::MeanAccuracy(RunHeavyHitters(
+          roster[a], trace, SpecTruth(exact).first(nkeys), threshold));
       if (nkeys == 1) {
         names.push_back(roster[a].name);
         recall.emplace_back();

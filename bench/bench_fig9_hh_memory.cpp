@@ -14,6 +14,9 @@ int main() {
   const auto trace =
       trace::GenerateTrace(trace::TraceConfig::CaidaLike(BenchPackets()));
   const auto truth = trace::CountTrace(trace);
+  const auto exact = query::PartialKeyTruth(truth, specs);
+  const uint64_t threshold =
+      query::HeavyHitterThreshold(truth.Total(), fraction);
   std::printf(
       "Figure 9: heavy hitters vs memory (CAIDA-like, %zu pkts, 6 keys, "
       "threshold=1e-4)\n",
@@ -26,7 +29,7 @@ int main() {
     auto roster = MakeHeavyHitterRoster(memories[m], specs);
     for (size_t a = 0; a < roster.size(); ++a) {
       const auto mean = metrics::MeanAccuracy(
-          RunHeavyHitters(roster[a], trace, truth, specs, fraction));
+          RunHeavyHitters(roster[a], trace, exact, threshold));
       if (m == 0) {
         names.push_back(roster[a].name);
         f1.emplace_back();

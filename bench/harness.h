@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/sizes.h"
@@ -55,72 +57,30 @@ inline size_t BenchPackets(size_t fallback = 1'000'000) {
 
 // ---- Solution factories ---------------------------------------------------
 
-// A paper baseline's std::unordered_map decode, copied into the FlowTable
-// that the query front-end and the CocoSketch family share.
+// A decoded table as the FlowTable that the query front-end and the
+// CocoSketch family share: a paper baseline's std::unordered_map decode is
+// copied, a FlowTable passes through.
 template <typename Map>
-query::FlowTable<typename Map::key_type> ToFlowTable(const Map& decoded) {
-  return {decoded.begin(), decoded.end()};
+query::FlowTable<typename Map::key_type> ToFlowTable(Map decoded) {
+  if constexpr (std::is_same_v<Map, query::FlowTable<typename Map::key_type>>) {
+    return decoded;
+  } else {
+    return {decoded.begin(), decoded.end()};
+  }
 }
 
-inline Solution MakeCoco(size_t memory, std::vector<keys::TupleKeySpec> specs,
-                         size_t d = 2, uint64_t seed = 0xc0c0) {
-  auto sketch = std::make_shared<core::CocoSketch<FiveTuple>>(memory, d, seed);
-  auto cache = std::make_shared<query::FlowTable<FiveTuple>>();
-  auto specs_ptr =
-      std::make_shared<std::vector<keys::TupleKeySpec>>(std::move(specs));
-  return {
-      "Ours",
-      [sketch, cache](const Packet& p) {
-        sketch->Update(p.key, p.weight);
-        if (!cache->empty()) cache->clear();
-      },
-      [sketch, cache, specs_ptr](size_t i) {
-        if (cache->empty()) *cache = sketch->Decode();
-        return query::Aggregate(*cache, (*specs_ptr)[i]);
-      },
-      [sketch, cache] {
-        sketch->Clear();
-        if (!cache->empty()) cache->clear();
-      },
-  };
-}
-
-inline Solution MakeHwCoco(size_t memory,
-                           std::vector<keys::TupleKeySpec> specs, size_t d = 2,
-                           core::DivisionMode div = core::DivisionMode::kExact,
-                           uint64_t seed = 0xc0c1,
-                           std::string name = "Ours(HW)") {
-  auto sketch = std::make_shared<core::HwCocoSketch<FiveTuple>>(memory, d, div,
-                                                                seed);
+// Full-key solution: ONE SketchT<FiveTuple> (CocoSketch or a variant, USS)
+// built as SketchT(memory, args...). Every partial key is a GROUP BY of its
+// decode, which is cached until the next update or reset.
+template <typename SketchT, typename... Args>
+Solution MakeFullKey(std::string name, size_t memory,
+                     std::vector<keys::TupleKeySpec> specs, Args... args) {
+  auto sketch = std::make_shared<SketchT>(memory, args...);
   auto cache = std::make_shared<query::FlowTable<FiveTuple>>();
   auto specs_ptr =
       std::make_shared<std::vector<keys::TupleKeySpec>>(std::move(specs));
   return {
       std::move(name),
-      [sketch, cache](const Packet& p) {
-        sketch->Update(p.key, p.weight);
-        if (!cache->empty()) cache->clear();
-      },
-      [sketch, cache, specs_ptr](size_t i) {
-        if (cache->empty()) *cache = sketch->Decode();
-        return query::Aggregate(*cache, (*specs_ptr)[i]);
-      },
-      [sketch, cache] {
-        sketch->Clear();
-        if (!cache->empty()) cache->clear();
-      },
-  };
-}
-
-inline Solution MakeUss(size_t memory,
-                        std::vector<keys::TupleKeySpec> specs) {
-  auto sketch =
-      std::make_shared<sketch::UnbiasedSpaceSaving<FiveTuple>>(memory);
-  auto cache = std::make_shared<query::FlowTable<FiveTuple>>();
-  auto specs_ptr =
-      std::make_shared<std::vector<keys::TupleKeySpec>>(std::move(specs));
-  return {
-      "USS",
       [sketch, cache](const Packet& p) {
         sketch->Update(p.key, p.weight);
         if (!cache->empty()) cache->clear();
@@ -134,6 +94,12 @@ inline Solution MakeUss(size_t memory,
         if (!cache->empty()) cache->clear();
       },
   };
+}
+
+inline Solution MakeCoco(size_t memory, std::vector<keys::TupleKeySpec> specs,
+                         size_t d = 2, uint64_t seed = 0xc0c0) {
+  return MakeFullKey<core::CocoSketch<FiveTuple>>("Ours", memory,
+                                                  std::move(specs), d, seed);
 }
 
 // Generic per-key baseline: one SketchT<DynKey> per partial key, budget
@@ -168,7 +134,8 @@ inline std::vector<Solution> MakeHeavyHitterRoster(
   std::vector<Solution> roster;
   roster.push_back(MakeCoco(memory, specs));
   roster.push_back(MakePerKey<sketch::SpaceSaving<DynKey>>("SS", memory, specs));
-  roster.push_back(MakeUss(memory, specs));
+  roster.push_back(MakeFullKey<sketch::UnbiasedSpaceSaving<FiveTuple>>(
+      "USS", memory, specs));
   roster.push_back(
       MakePerKey<sketch::CHeap<DynKey>>("C-Heap", memory, specs));
   roster.push_back(
@@ -180,24 +147,50 @@ inline std::vector<Solution> MakeHeavyHitterRoster(
   return roster;
 }
 
-// ---- Scoring helpers ------------------------------------------------------
+// The heavy-change roster of Fig. 10 and 13(b): Ours, hashed with
+// `coco_seed` (each window's sketch gets its own), the sketch+heap family,
+// Elastic and UnivMon. SS/USS are left out, as in the paper's figures.
+inline std::vector<Solution> MakeHeavyChangeRoster(
+    size_t memory, const std::vector<keys::TupleKeySpec>& specs,
+    uint64_t coco_seed) {
+  std::vector<Solution> roster;
+  roster.push_back(MakeCoco(memory, specs, 2, coco_seed));
+  roster.push_back(MakePerKey<sketch::CHeap<DynKey>>("C-Heap", memory, specs));
+  roster.push_back(
+      MakePerKey<sketch::CmHeap<DynKey>>("CM-Heap", memory, specs));
+  roster.push_back(
+      MakePerKey<sketch::ElasticSketch<DynKey>>("Elastic", memory, specs));
+  roster.push_back(
+      MakePerKey<sketch::UnivMon<DynKey>>("UnivMon", memory, specs));
+  return roster;
+}
+
+// ---- Runs -----------------------------------------------------------------
+
+// Per-spec ground truth as the runs below take it: a query::PartialKeyTruth
+// or query::ChangeTruth over the specs, or a span over its first specs.
+using SpecTruth = std::span<const trace::ExactCounter<DynKey>>;
 
 // Runs `solution` over the trace and scores heavy hitters per spec.
 inline std::vector<metrics::Accuracy> RunHeavyHitters(
-    Solution& solution, const std::vector<Packet>& trace,
-    const trace::ExactCounter<FiveTuple>& truth,
-    const std::vector<keys::TupleKeySpec>& specs, double fraction) {
+    Solution& solution, const std::vector<Packet>& trace, SpecTruth truth,
+    uint64_t threshold) {
   solution.reset();
   for (const Packet& p : trace) solution.update(p);
-  const uint64_t threshold =
-      static_cast<uint64_t>(fraction * static_cast<double>(truth.Total()));
-  std::vector<metrics::Accuracy> scores;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const auto exact = truth.Aggregate(specs[i]);
-    scores.push_back(metrics::ScoreThreshold(solution.table(i),
-                                             exact.counts(), threshold));
-  }
-  return scores;
+  return query::ScoreHeavyHitters(truth, threshold, solution.table);
+}
+
+// Runs `before` over the first window and `after` over the second, and
+// scores heavy changes per spec.
+inline std::vector<metrics::Accuracy> RunHeavyChanges(
+    Solution& before, Solution& after, const trace::EpochPair& pair,
+    SpecTruth change_truth, uint64_t threshold) {
+  before.reset();
+  after.reset();
+  for (const Packet& p : pair.before) before.update(p);
+  for (const Packet& p : pair.after) after.update(p);
+  return query::ScoreHeavyChanges(change_truth, threshold, before.table,
+                                  after.table);
 }
 
 // ---- Output helpers -------------------------------------------------------

@@ -12,8 +12,8 @@
 // a flipped bit anywhere in payload or header is detected; a corrupt frame
 // is dropped (and, for state frames, re-requested via nack), never merged.
 // Length prefixing makes the format self-delimiting over a byte stream; the
-// FrameReader below reassembles frames from arbitrary TCP segmentation and
-// resynchronizes on the magic after garbage.
+// frame readers below reassemble frames from arbitrary TCP segmentation and
+// resynchronize on the magic after garbage.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +21,7 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.h"
@@ -165,29 +166,15 @@ inline DecodeStatus DecodeFrame(const uint8_t* data, size_t len, Frame* out,
 // Stream reassembler: feed arbitrary byte chunks in, pull whole frames out.
 // Garbage between frames (corruption, a desynced peer) is skipped byte by
 // byte until the next magic, with every skipped run counted — the collector
-// exports bad_bytes/bad_frames so corrupted links are visible.
-class FrameReader {
+// exports bad_bytes/bad_frames so corrupted links are visible. `Item` is
+// what a validated frame comes out as: the decoded Frame (FrameReader, for
+// the protocol endpoints) or its raw bytes (RawFrameReader, for the TCP
+// transport, which hands frames on undecoded).
+template <typename Item>
+class BasicFrameReader {
  public:
   void Feed(const uint8_t* data, size_t len) {
     buffer_.insert(buffer_.end(), data, data + len);
-    Drain();
-  }
-  void Feed(const std::vector<uint8_t>& bytes) {
-    Feed(bytes.data(), bytes.size());
-  }
-
-  std::optional<Frame> Next() {
-    if (frames_.empty()) return std::nullopt;
-    Frame f = std::move(frames_.front());
-    frames_.pop_front();
-    return f;
-  }
-
-  uint64_t bad_bytes() const { return bad_bytes_; }
-  size_t buffered_bytes() const { return buffer_.size(); }
-
- private:
-  void Drain() {
     size_t pos = 0;
     while (pos < buffer_.size()) {
       Frame frame;
@@ -195,7 +182,12 @@ class FrameReader {
       const DecodeStatus status = DecodeFrame(
           buffer_.data() + pos, buffer_.size() - pos, &frame, &consumed);
       if (status == DecodeStatus::kOk) {
-        frames_.push_back(std::move(frame));
+        if constexpr (std::is_same_v<Item, Frame>) {
+          items_.push_back(std::move(frame));
+        } else {
+          items_.emplace_back(buffer_.data() + pos,
+                              buffer_.data() + pos + consumed);
+        }
         pos += consumed;
       } else if (status == DecodeStatus::kNeedMore) {
         break;
@@ -207,10 +199,32 @@ class FrameReader {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<ptrdiff_t>(pos));
   }
+  void Feed(const std::vector<uint8_t>& bytes) {
+    Feed(bytes.data(), bytes.size());
+  }
 
+  std::optional<Item> Next() {
+    if (items_.empty()) return std::nullopt;
+    Item item = std::move(items_.front());
+    items_.pop_front();
+    return item;
+  }
+  bool Next(Item* out) {
+    std::optional<Item> item = Next();
+    if (item) *out = std::move(*item);
+    return item.has_value();
+  }
+
+  uint64_t bad_bytes() const { return bad_bytes_; }
+  size_t buffered_bytes() const { return buffer_.size(); }
+
+ private:
   std::vector<uint8_t> buffer_;
-  std::deque<Frame> frames_;
+  std::deque<Item> items_;
   uint64_t bad_bytes_ = 0;
 };
+
+using FrameReader = BasicFrameReader<Frame>;
+using RawFrameReader = BasicFrameReader<std::vector<uint8_t>>;
 
 }  // namespace coco::net

@@ -62,38 +62,6 @@ bool FlushBuffer(int fd, std::vector<uint8_t>* out, TcpStats* stats) {
 
 }  // namespace
 
-// ---- RawFrameReader -------------------------------------------------------
-
-void RawFrameReader::Feed(const uint8_t* data, size_t len) {
-  buffer_.insert(buffer_.end(), data, data + len);
-  size_t pos = 0;
-  while (pos < buffer_.size()) {
-    Frame frame;
-    size_t consumed = 0;
-    const DecodeStatus status = DecodeFrame(
-        buffer_.data() + pos, buffer_.size() - pos, &frame, &consumed);
-    if (status == DecodeStatus::kOk) {
-      frames_.emplace_back(buffer_.begin() + static_cast<ptrdiff_t>(pos),
-                           buffer_.begin() +
-                               static_cast<ptrdiff_t>(pos + consumed));
-      pos += consumed;
-    } else if (status == DecodeStatus::kNeedMore) {
-      break;
-    } else {
-      ++pos;
-      ++bad_bytes_;
-    }
-  }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<ptrdiff_t>(pos));
-}
-
-bool RawFrameReader::Next(std::vector<uint8_t>* frame) {
-  if (frames_.empty()) return false;
-  *frame = std::move(frames_.front());
-  frames_.pop_front();
-  return true;
-}
-
 // ---- TcpCollectorTransport ------------------------------------------------
 
 TcpCollectorTransport::TcpCollectorTransport(uint16_t port,

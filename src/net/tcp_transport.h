@@ -27,21 +27,6 @@
 
 namespace coco::net {
 
-// Reassembles validated raw frames out of a byte stream. Like FrameReader
-// but yields the frame's raw bytes (ready to hand to the protocol layer or
-// forward) instead of a decoded struct.
-class RawFrameReader {
- public:
-  void Feed(const uint8_t* data, size_t len);
-  bool Next(std::vector<uint8_t>* frame);
-  uint64_t bad_bytes() const { return bad_bytes_; }
-
- private:
-  std::vector<uint8_t> buffer_;
-  std::deque<std::vector<uint8_t>> frames_;
-  uint64_t bad_bytes_ = 0;
-};
-
 struct TcpStats {
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;

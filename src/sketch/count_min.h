@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -78,55 +77,8 @@ class CountMinSketch {
   std::vector<uint32_t> counters_;
 };
 
-// Count-Min + top-K heap: the full heavy-hitter pipeline of the baseline.
-// A fraction of the memory budget goes to the heap, the rest to counters.
+// Count-Min + top-K heap: the CM baseline's heavy-hitter pipeline.
 template <typename Key>
-class CmHeap {
- public:
-  CmHeap(size_t memory_bytes, size_t heap_capacity = 1024, size_t rows = 3,
-         uint64_t seed = 0xc0)
-      : heap_(ClampHeap(memory_bytes, heap_capacity)),
-        sketch_(SketchBudget(memory_bytes, heap_.capacity()), rows, seed) {}
-
-  void Update(const Key& key, uint32_t weight) {
-    sketch_.Update(key, weight);
-    heap_.Offer(key, sketch_.Query(key));
-  }
-
-  uint64_t Query(const Key& key) const { return sketch_.Query(key); }
-
-  // Reported flows: the heap contents.
-  std::unordered_map<Key, uint64_t> Decode() const { return heap_.ToMap(); }
-
-  void Clear() {
-    sketch_.Clear();
-    heap_.Clear();
-  }
-
-  size_t MemoryBytes() const {
-    return sketch_.MemoryBytes() +
-           heap_.capacity() * TopKHeap<Key>::EntryBytes();
-  }
-
- private:
-  // At most half the budget goes to the heap; small per-key budgets (e.g.
-  // R-HHH's 33-way split) get a proportionally smaller heap instead of
-  // failing outright.
-  static size_t ClampHeap(size_t memory_bytes, size_t heap_capacity) {
-    const size_t max_entries =
-        memory_bytes / (2 * TopKHeap<Key>::EntryBytes());
-    const size_t clamped = std::min(heap_capacity, max_entries);
-    return clamped == 0 ? 1 : clamped;
-  }
-
-  static size_t SketchBudget(size_t memory_bytes, size_t heap_capacity) {
-    const size_t heap_bytes = heap_capacity * TopKHeap<Key>::EntryBytes();
-    COCO_CHECK(memory_bytes > heap_bytes, "budget smaller than heap");
-    return memory_bytes - heap_bytes;
-  }
-
-  TopKHeap<Key> heap_;
-  CountMinSketch<Key> sketch_;
-};
+using CmHeap = SketchHeap<Key, CountMinSketch<Key>, 0xc0>;
 
 }  // namespace coco::sketch

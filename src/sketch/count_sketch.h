@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -75,51 +74,8 @@ class CountSketch {
   std::vector<int32_t> counters_;
 };
 
-// Count sketch + top-K heap heavy-hitter pipeline.
+// Count sketch + top-K heap: the C-Heap baseline's heavy-hitter pipeline.
 template <typename Key>
-class CHeap {
- public:
-  CHeap(size_t memory_bytes, size_t heap_capacity = 1024, size_t rows = 3,
-        uint64_t seed = 0xce)
-      : heap_(ClampHeap(memory_bytes, heap_capacity)),
-        sketch_(SketchBudget(memory_bytes, heap_.capacity()), rows, seed) {}
-
-  void Update(const Key& key, uint32_t weight) {
-    sketch_.Update(key, weight);
-    heap_.Offer(key, sketch_.Query(key));
-  }
-
-  uint64_t Query(const Key& key) const { return sketch_.Query(key); }
-
-  std::unordered_map<Key, uint64_t> Decode() const { return heap_.ToMap(); }
-
-  void Clear() {
-    sketch_.Clear();
-    heap_.Clear();
-  }
-
-  size_t MemoryBytes() const {
-    return sketch_.MemoryBytes() +
-           heap_.capacity() * TopKHeap<Key>::EntryBytes();
-  }
-
- private:
-  // Same budget-proportional heap clamp as CmHeap.
-  static size_t ClampHeap(size_t memory_bytes, size_t heap_capacity) {
-    const size_t max_entries =
-        memory_bytes / (2 * TopKHeap<Key>::EntryBytes());
-    const size_t clamped = std::min(heap_capacity, max_entries);
-    return clamped == 0 ? 1 : clamped;
-  }
-
-  static size_t SketchBudget(size_t memory_bytes, size_t heap_capacity) {
-    const size_t heap_bytes = heap_capacity * TopKHeap<Key>::EntryBytes();
-    COCO_CHECK(memory_bytes > heap_bytes, "budget smaller than heap");
-    return memory_bytes - heap_bytes;
-  }
-
-  TopKHeap<Key> heap_;
-  CountSketch<Key> sketch_;
-};
+using CHeap = SketchHeap<Key, CountSketch<Key>, 0xce>;
 
 }  // namespace coco::sketch

@@ -1,5 +1,6 @@
 // Indexed fixed-capacity min-heap used by the "sketch + min-heap" baselines
-// (Count-Min + heap, Count + heap, UnivMon levels).
+// (Count-Min + heap, Count + heap, UnivMon levels), and SketchHeap, the
+// frequency sketch + heap pipeline behind CmHeap and CHeap.
 //
 // The heap tracks the current top-K keys by estimated size. A hash index maps
 // key -> heap slot so that updating an already-tracked key is O(log K)
@@ -7,6 +8,7 @@
 // frequency sketch into a heavy-hitter reporter.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -128,6 +130,59 @@ class TopKHeap {
   size_t capacity_;
   std::vector<Entry> entries_;
   std::unordered_map<Key, size_t> index_;
+};
+
+// A frequency sketch + top-K heap: the full heavy-hitter pipeline of a
+// single-key baseline (CmHeap, CHeap). Every update offers the key to the
+// heap with its new estimate; the reported flows are the heap contents. A
+// fraction of the memory budget goes to the heap, the rest to the sketch,
+// built as Sketch(budget, rows, seed).
+template <typename Key, typename Sketch, uint64_t kDefaultSeed>
+class SketchHeap {
+ public:
+  SketchHeap(size_t memory_bytes, size_t heap_capacity = 1024,
+             size_t rows = 3, uint64_t seed = kDefaultSeed)
+      : heap_(ClampHeap(memory_bytes, heap_capacity)),
+        sketch_(SketchBudget(memory_bytes, heap_.capacity()), rows, seed) {}
+
+  void Update(const Key& key, uint32_t weight) {
+    sketch_.Update(key, weight);
+    heap_.Offer(key, sketch_.Query(key));
+  }
+
+  uint64_t Query(const Key& key) const { return sketch_.Query(key); }
+
+  std::unordered_map<Key, uint64_t> Decode() const { return heap_.ToMap(); }
+
+  void Clear() {
+    sketch_.Clear();
+    heap_.Clear();
+  }
+
+  size_t MemoryBytes() const {
+    return sketch_.MemoryBytes() +
+           heap_.capacity() * TopKHeap<Key>::EntryBytes();
+  }
+
+ private:
+  // At most half the budget goes to the heap; small per-key budgets (e.g.
+  // R-HHH's 33-way split) get a proportionally smaller heap instead of
+  // failing outright.
+  static size_t ClampHeap(size_t memory_bytes, size_t heap_capacity) {
+    const size_t max_entries =
+        memory_bytes / (2 * TopKHeap<Key>::EntryBytes());
+    const size_t clamped = std::min(heap_capacity, max_entries);
+    return clamped == 0 ? 1 : clamped;
+  }
+
+  static size_t SketchBudget(size_t memory_bytes, size_t heap_capacity) {
+    const size_t heap_bytes = heap_capacity * TopKHeap<Key>::EntryBytes();
+    COCO_CHECK(memory_bytes > heap_bytes, "budget smaller than heap");
+    return memory_bytes - heap_bytes;
+  }
+
+  TopKHeap<Key> heap_;
+  Sketch sketch_;
 };
 
 }  // namespace coco::sketch

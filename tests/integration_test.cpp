@@ -29,18 +29,28 @@ class HeavyHitterEndToEnd : public ::testing::Test {
     trace_ = trace::GenerateTrace(trace::TraceConfig::CaidaLike(200000));
     truth_ = trace::CountTrace(trace_);
     specs_ = TupleKeySpec::DefaultSix();
+    exact_ = query::PartialKeyTruth(truth_, specs_);
+    threshold_ = query::HeavyHitterThreshold(truth_.Total(), 1e-4);
+  }
+
+  // Heavy-hitter scores of one full-key sketch over the six keys.
+  template <typename Sketch>
+  std::vector<metrics::Accuracy> Score(const Sketch& sketch) const {
+    return query::ScoreHeavyHitters(exact_, threshold_,
+                                    query::GroupedBy(sketch.Decode(), specs_));
   }
 
   std::vector<Packet> trace_;
   trace::ExactCounter<FiveTuple> truth_;
   std::vector<TupleKeySpec> specs_;
+  std::vector<trace::ExactCounter<DynKey>> exact_;
+  uint64_t threshold_ = 0;
 };
 
 TEST_F(HeavyHitterEndToEnd, CocoHighF1OnAllSixKeys) {
   core::CocoSketch<FiveTuple> coco(KiB(500), 2);
   for (const Packet& p : trace_) coco.Update(p.key, p.weight);
-  const auto scores = query::ScoreHeavyHittersPerKey(coco.Decode(), truth_,
-                                                     specs_, 1e-4);
+  const auto scores = Score(coco);
   ASSERT_EQ(scores.size(), 6u);
   for (size_t i = 0; i < scores.size(); ++i) {
     EXPECT_GT(scores[i].f1, 0.90) << specs_[i].name();
@@ -52,19 +62,17 @@ TEST_F(HeavyHitterEndToEnd, CocoBeatsPerKeyCountMinAtSixKeys) {
   // Baseline: one CM-Heap per key sharing the same 500KB total.
   core::CocoSketch<FiveTuple> coco(KiB(500), 2);
   for (const Packet& p : trace_) coco.Update(p.key, p.weight);
-  const auto coco_scores = query::ScoreHeavyHittersPerKey(
-      coco.Decode(), truth_, specs_, 1e-4);
+  const auto coco_scores = Score(coco);
 
   const size_t per_key = KiB(500) / specs_.size();
-  const uint64_t threshold = truth_.Total() / 10000;
-  std::vector<metrics::Accuracy> cm_scores;
-  for (const auto& spec : specs_) {
-    sketch::CmHeap<DynKey> cm(per_key, 512);
-    for (const Packet& p : trace_) cm.Update(spec.Apply(p.key), p.weight);
-    const auto exact = truth_.Aggregate(spec);
-    cm_scores.push_back(
-        metrics::ScoreThreshold(cm.Decode(), exact.counts(), threshold));
-  }
+  const auto cm_scores = query::ScoreHeavyHitters(
+      exact_, truth_.Total() / 10000, [&](size_t i) {
+        sketch::CmHeap<DynKey> cm(per_key, 512);
+        for (const Packet& p : trace_) {
+          cm.Update(specs_[i].Apply(p.key), p.weight);
+        }
+        return cm.Decode();
+      });
 
   const auto coco_mean = metrics::MeanAccuracy(coco_scores);
   const auto cm_mean = metrics::MeanAccuracy(cm_scores);
@@ -87,10 +95,8 @@ TEST_F(HeavyHitterEndToEnd, HwVariantWithinTenPercentOfBasic) {
       basic.Update(p.key, p.weight);
       hw.Update(p.key, p.weight);
     }
-    const auto basic_mean = metrics::MeanAccuracy(
-        query::ScoreHeavyHittersPerKey(basic.Decode(), truth_, specs_, 1e-4));
-    const auto hw_mean = metrics::MeanAccuracy(
-        query::ScoreHeavyHittersPerKey(hw.Decode(), truth_, specs_, 1e-4));
+    const auto basic_mean = metrics::MeanAccuracy(Score(basic));
+    const auto hw_mean = metrics::MeanAccuracy(Score(hw));
     const double gap = basic_mean.f1 - hw_mean.f1;
     std::printf("seed %2llu: F1 basic %.4f hw %.4f gap %.4f\n",
                 static_cast<unsigned long long>(seed), basic_mean.f1,
@@ -111,9 +117,12 @@ TEST(HeavyChangeEndToEnd, CocoDetectsChanges) {
   for (const Packet& p : pair.before) before.Update(p.key, p.weight);
   for (const Packet& p : pair.after) after.Update(p.key, p.weight);
 
-  const auto scores = query::ScoreHeavyChangesPerKey(
-      before.Decode(), after.Decode(), truth_before, truth_after, specs,
-      1e-3);
+  const auto scores = query::ScoreHeavyChanges(
+      query::ChangeTruth(truth_before, truth_after, specs),
+      query::HeavyChangeThreshold(truth_before.Total(), truth_after.Total(),
+                                  1e-3),
+      query::GroupedBy(before.Decode(), specs),
+      query::GroupedBy(after.Decode(), specs));
   for (size_t i = 0; i < scores.size(); ++i) {
     EXPECT_GT(scores[i].f1, 0.75) << specs[i].name();
   }
@@ -137,18 +146,12 @@ TEST(HhhEndToEnd, CocoFarMoreAccurateThanRhhh) {
     rhhh.Update(IPv4Key(p.key.src_ip()), p.weight);
   }
 
-  const auto coco_table = coco.Decode();
-  std::vector<metrics::Accuracy> coco_scores, rhhh_scores;
-  for (size_t level = 0; level < levels.size(); ++level) {
-    const auto exact = truth.Aggregate(levels[level]);
-    coco_scores.push_back(metrics::ScoreThreshold(
-        query::Aggregate(coco_table, levels[level]), exact.counts(),
-        threshold));
-    rhhh_scores.push_back(metrics::ScoreThreshold(
-        rhhh.DecodeLevel(level), exact.counts(), threshold));
-  }
-  const auto coco_mean = metrics::MeanAccuracy(coco_scores);
-  const auto rhhh_mean = metrics::MeanAccuracy(rhhh_scores);
+  const auto exact = query::PartialKeyTruth(truth, levels);
+  const auto coco_mean = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+      exact, threshold, query::GroupedBy(coco.Decode(), levels)));
+  const auto rhhh_mean = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+      exact, threshold,
+      [&](size_t level) { return rhhh.DecodeLevel(level); }));
   EXPECT_GT(coco_mean.f1, 0.95);
   EXPECT_GT(coco_mean.f1, rhhh_mean.f1);
   EXPECT_LT(coco_mean.are, rhhh_mean.are);
@@ -168,9 +171,12 @@ TEST(ByteModeEndToEnd, HeavyChangeByBytes) {
   for (const Packet& p : pair.before) before.Update(p.key, p.weight);
   for (const Packet& p : pair.after) after.Update(p.key, p.weight);
 
-  const auto scores = query::ScoreHeavyChangesPerKey(
-      before.Decode(), after.Decode(), truth_before, truth_after, specs,
-      1e-3);
+  const auto scores = query::ScoreHeavyChanges(
+      query::ChangeTruth(truth_before, truth_after, specs),
+      query::HeavyChangeThreshold(truth_before.Total(), truth_after.Total(),
+                                  1e-3),
+      query::GroupedBy(before.Decode(), specs),
+      query::GroupedBy(after.Decode(), specs));
   for (size_t i = 0; i < scores.size(); ++i) {
     EXPECT_GT(scores[i].f1, 0.7) << specs[i].name();
   }
@@ -184,8 +190,11 @@ TEST(MawiEndToEnd, CocoHoldsOnFlatterTail) {
   const auto truth = trace::CountTrace(trace);
   core::CocoSketch<FiveTuple> coco(KiB(500), 2);
   for (const Packet& p : trace) coco.Update(p.key, p.weight);
-  const auto mean = metrics::MeanAccuracy(query::ScoreHeavyHittersPerKey(
-      coco.Decode(), truth, TupleKeySpec::DefaultSix(), 1e-4));
+  const auto specs = TupleKeySpec::DefaultSix();
+  const auto mean = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+      query::PartialKeyTruth(truth, specs),
+      query::HeavyHitterThreshold(truth.Total(), 1e-4),
+      query::GroupedBy(coco.Decode(), specs)));
   EXPECT_GT(mean.f1, 0.9);
 }
 
@@ -204,10 +213,12 @@ TEST(UssComparisonEndToEnd, CocoMatchesUssAccuracyClosely) {
     coco.Update(p.key, p.weight);
     uss.Update(p.key, p.weight);
   }
-  const auto coco_mean = metrics::MeanAccuracy(
-      query::ScoreHeavyHittersPerKey(coco.Decode(), truth, specs, 1e-4));
-  const auto uss_mean = metrics::MeanAccuracy(
-      query::ScoreHeavyHittersPerKey(uss.Decode(), truth, specs, 1e-4));
+  const auto exact = query::PartialKeyTruth(truth, specs);
+  const uint64_t threshold = query::HeavyHitterThreshold(truth.Total(), 1e-4);
+  const auto coco_mean = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+      exact, threshold, query::GroupedBy(coco.Decode(), specs)));
+  const auto uss_mean = metrics::MeanAccuracy(query::ScoreHeavyHitters(
+      exact, threshold, query::GroupedBy(uss.Decode(), specs)));
   EXPECT_GT(coco_mean.f1, uss_mean.f1 - 0.03);
 }
 

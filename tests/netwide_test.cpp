@@ -444,9 +444,11 @@ TEST(Frame, ReaderResyncsAfterGarbageAndCorruption) {
       {FrameType::kFullState, 3, 2, std::vector<uint8_t>(64, 0x55)});
   corrupt[kFrameHeaderBytes + 10] ^= 0x80;  // payload bit flip
   FrameReader reader;
-  std::vector<uint8_t> stream = {'g', 'a', 'r', 'b', 'C', 'O'};  // noise
-  stream.insert(stream.end(), corrupt.begin(), corrupt.end());
-  stream.insert(stream.end(), good.begin(), good.end());
+  const std::vector<uint8_t> noise = {'g', 'a', 'r', 'b', 'C', 'O'};
+  std::vector<uint8_t> stream;
+  for (const auto& part : {noise, corrupt, good}) {
+    stream.insert(stream.end(), part.begin(), part.end());
+  }
   reader.Feed(stream);
   auto frame = reader.Next();
   ASSERT_TRUE(frame.has_value());  // only the good frame survives

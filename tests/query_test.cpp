@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sizes.h"
+#include "core/cocosketch.h"
 #include "keys/key_spec.h"
 #include "keys/v6.h"
 #include "query/evaluation.h"
@@ -400,8 +402,9 @@ TEST(ScoreHeavyHitters, PerfectEstimatorScoresPerfectly) {
   FlowTable<FiveTuple> exact_table(truth.counts().begin(),
                                    truth.counts().end());
   const auto specs = keys::TupleKeySpec::DefaultSix();
-  const auto scores =
-      ScoreHeavyHittersPerKey(exact_table, truth, specs, 1e-3);
+  const auto scores = ScoreHeavyHitters(
+      PartialKeyTruth(truth, specs), HeavyHitterThreshold(truth.Total(), 1e-3),
+      GroupedBy(exact_table, specs));
   ASSERT_EQ(scores.size(), 6u);
   for (const auto& s : scores) {
     EXPECT_DOUBLE_EQ(s.recall, 1.0);
@@ -415,9 +418,10 @@ TEST(ScoreHeavyHitters, EmptyEstimatorScoresZeroRecall) {
   trace::TraceConfig config = trace::TraceConfig::CaidaLike(20000);
   const auto trace = trace::GenerateTrace(config);
   const auto truth = trace::CountTrace(trace);
-  FlowTable<FiveTuple> empty;
-  const auto scores = ScoreHeavyHittersPerKey(
-      empty, truth, keys::TupleKeySpec::DefaultSix(), 1e-3);
+  const auto specs = keys::TupleKeySpec::DefaultSix();
+  const auto scores = ScoreHeavyHitters(
+      PartialKeyTruth(truth, specs), HeavyHitterThreshold(truth.Total(), 1e-3),
+      GroupedBy(FlowTable<FiveTuple>(), specs));
   for (const auto& s : scores) {
     EXPECT_EQ(s.recall, 0.0);
     EXPECT_EQ(s.reported_count, 0u);
@@ -434,12 +438,61 @@ TEST(ScoreHeavyChanges, PerfectEstimatorScoresPerfectly) {
                           truth_before.counts().end());
   FlowTable<FiveTuple> ta(truth_after.counts().begin(),
                           truth_after.counts().end());
-  const auto scores = ScoreHeavyChangesPerKey(
-      tb, ta, truth_before, truth_after, keys::TupleKeySpec::DefaultSix(),
-      1e-3);
+  const auto specs = keys::TupleKeySpec::DefaultSix();
+  const auto scores = ScoreHeavyChanges(
+      ChangeTruth(truth_before, truth_after, specs),
+      HeavyChangeThreshold(truth_before.Total(), truth_after.Total(), 1e-3),
+      GroupedBy(tb, specs), GroupedBy(ta, specs));
   for (const auto& s : scores) {
     EXPECT_DOUBLE_EQ(s.recall, 1.0);
     EXPECT_DOUBLE_EQ(s.precision, 1.0);
+  }
+}
+
+TEST(ScoreHeavyChanges, ThresholdKeepsTheHalfOfAnOddCombinedTotal) {
+  // Byte weights make the two windows' totals arbitrary; this pair's sum is
+  // odd, so the mean is m + 0.5 for an integer m.
+  trace::TraceConfig config = trace::TraceConfig::CaidaLike(50000);
+  config.weight_mode = trace::WeightMode::kBytes;
+  const auto pair = trace::GenerateChurnPair(config, 0.3);
+  const uint64_t before = trace::CountTrace(pair.before).Total();
+  const uint64_t after = trace::CountTrace(pair.after).Total();
+  ASSERT_EQ((before + after) % 2, 1u);
+  const double mean = 0.5 * static_cast<double>(before + after);
+  // fraction * m < 1 <= fraction * (m + 0.5): the threshold is 1 only when
+  // the half is kept. An integer mean (before + after) / 2 would give 0.
+  EXPECT_EQ(HeavyChangeThreshold(before, after, 1.0 / (mean - 0.25)), 1u);
+  EXPECT_EQ(HeavyChangeThreshold(before, after, 1e-4),
+            static_cast<uint64_t>(1e-4 * mean));
+}
+
+TEST(ScoreHeavyHitters, PerSpecTablesScoreAsScoreThresholdSpecBySpec) {
+  const auto trace =
+      trace::GenerateTrace(trace::TraceConfig::CaidaLike(50000));
+  const auto truth = trace::CountTrace(trace);
+  const auto specs = keys::TupleKeySpec::DefaultSix();
+  core::CocoSketch<FiveTuple> sketch(KiB(64), 2, 7);
+  for (const Packet& p : trace) sketch.Update(p.key, p.weight);
+  const auto decoded = sketch.Decode();
+  std::vector<FlowTable<DynKey>> tables;
+  for (const auto& spec : specs) tables.push_back(Aggregate(decoded, spec));
+
+  const uint64_t threshold = HeavyHitterThreshold(truth.Total(), 1e-3);
+  const auto scores =
+      ScoreHeavyHitters(PartialKeyTruth(truth, specs), threshold,
+                        [&](size_t i) -> const auto& { return tables[i]; });
+  ASSERT_EQ(scores.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].name());
+    const metrics::Accuracy want = metrics::ScoreThreshold(
+        tables[i], truth.Aggregate(specs[i]).counts(), threshold);
+    EXPECT_EQ(scores[i].recall, want.recall);
+    EXPECT_EQ(scores[i].precision, want.precision);
+    EXPECT_EQ(scores[i].f1, want.f1);
+    EXPECT_EQ(scores[i].are, want.are);
+    EXPECT_EQ(scores[i].true_count, want.true_count);
+    EXPECT_EQ(scores[i].reported_count, want.reported_count);
+    EXPECT_GT(want.true_count, 0u);
   }
 }
 
